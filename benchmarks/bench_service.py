@@ -92,10 +92,6 @@ MWMR_WRITERS = 4
 MWMR_CONFIG = SystemConfig.optimal(t=1, b=1, num_readers=1,
                                    num_writers=MWMR_WRITERS)
 MULTIPROC_CONFIG = CONFIG.with_deployment("multiproc")
-#: The >= 2x multiproc-vs-inproc gate only makes sense with cores to
-#: scale onto; below this the run records the measured ratio and gates
-#: on correctness (restarts == 0, every read correct) alone.
-MULTIPROC_SCALE_MIN_CPUS = 4
 
 
 async def run_per_key_baseline(num_keys: int) -> Dict[str, Any]:
@@ -539,20 +535,20 @@ async def run_inproc_reference(num_keys: int, num_shards: int,
 
 def bench_multiproc(num_keys: int, procs_list: List[int],
                     rounds: int) -> Dict[str, Any]:
-    """Multi-process scaling: ops/s at 1/2/4 supervised replica
-    processes vs the in-process figure on the same shard topology.
+    """Multi-process serving: ops/s at 1/2/4 supervised replica
+    processes beside the in-process figure on the same shard topology.
 
-    The >= 2x gate at the widest point is enforced only on hosts with
-    at least :data:`MULTIPROC_SCALE_MIN_CPUS` cores -- on fewer cores
-    the children time-slice one CPU and the TCP hop is pure overhead,
-    so the run records the measured ratio honestly and gates on
-    correctness (zero restarts, every read correct) instead.
+    Multiproc is the durability/isolation mode, not a scaling mode: the
+    ratio is recorded, the gate is correctness (zero restarts, every
+    read correct).  ``benchmarks/perf`` (``mixed_multiproc`` over
+    ``mixed_inproc``) is where the per-op tax is measured and split by
+    layer.
     """
     cpu_count = os.cpu_count() or 1
     gc.collect()
     inproc = asyncio.run(run_inproc_reference(
         num_keys, max(procs_list), rounds))
-    print(f"  multiproc scaling | {num_keys} keys x {rounds} rounds | "
+    print(f"  multiproc serving | {num_keys} keys x {rounds} rounds | "
           f"inproc ({max(procs_list)} shards) "
           f"{inproc['ops_per_s']:8.0f} op/s")
     points = []
@@ -571,12 +567,9 @@ def bench_multiproc(num_keys: int, procs_list: List[int],
               f"{'OK' if point['ok'] else 'FAIL'}")
     widest = points[-1]
     ratio = widest["ops_per_s"] / inproc["ops_per_s"]
-    enforce = cpu_count >= MULTIPROC_SCALE_MIN_CPUS
-    ok = (inproc["ok"] and all(p["ok"] for p in points)
-          and (ratio >= 2.0 or not enforce))
+    ok = inproc["ok"] and all(p["ok"] for p in points)
     print(f"    {widest['processes']}-process vs inproc: {ratio:.2f}x "
-          f"({cpu_count} CPU(s); gate "
-          f"{'enforced' if enforce else 'recorded only'}) | "
+          f"({cpu_count} CPU(s); recorded, not gated) | "
           f"{'OK' if ok else 'FAIL'}")
     return {
         "num_keys": num_keys,
@@ -585,9 +578,7 @@ def bench_multiproc(num_keys: int, procs_list: List[int],
         "inproc_reference": inproc,
         "points": points,
         "scaling_ratio": round(ratio, 3),
-        "gate": f">= 2.0x at {widest['processes']} processes when "
-                f"cpu_count >= {MULTIPROC_SCALE_MIN_CPUS}",
-        "gate_enforced": enforce,
+        "gate": "every read correct, zero supervisor restarts",
         "ok": ok,
     }
 
@@ -850,8 +841,7 @@ def main(argv: List[str] = None) -> int:
                  "reads; cross-shard snapshots certify consistent cuts "
                  "under mixed writers; batched rounds send fewer "
                  "envelopes than unbatched; multiproc serving stays "
-                 "correct with zero restarts (and scales >= 2x over "
-                 f"inproc when cpu_count >= {MULTIPROC_SCALE_MIN_CPUS}); "
+                 "correct with zero restarts; "
                  f"read-heavy {READ_HEAVY_RATIO}:1 fast reads beat "
                  "classic uncontended with strictly fewer messages, "
                  "stay within 10% of classic contended, and pass the "

@@ -6,19 +6,26 @@ through :class:`TcpStorageClient`.  Objects answer on the connection the
 request arrived on -- the data-centric model's "objects only reply to
 clients" rule falls out of the transport naturally.
 
-Two frame formats coexist on every connection (see
+Three frame formats coexist on every connection (see
 :mod:`repro.runtime.codec`):
 
 * **binary** (default, ``SystemConfig.wire_format = "binary"``) --
   ``0xB1``, a little-endian ``u32`` body length, a compact sender id,
   then the struct-packed message body;
+* **addressed** -- ``0xB2``, a ``u32`` body length, a ``u8`` destination
+  count, that many ``u16`` object indices, then one complete *binary*
+  frame.  A server hosting several replicas (the multiproc replica
+  child) decodes the inner frame once and hands the same message to
+  every listed replica -- one round costs one frame, not one per
+  replica.  The inner frame is a contiguous slice of the outer one, so
+  the write-ahead log stores it without re-encoding;
 * **json** (legacy) -- the original newline-delimited JSON frames.
 
 Inbound frames are sniffed by their first byte (JSON frames always open
 with ``{``), so old and new peers interoperate; ``wire_format`` only
 selects what a process *emits*.  Batched requests are dispatched through
 the automata's ``handle_batch`` fast path and all replies to the
-requester coalesce into a single response frame.
+requester coalesce into a single response frame per replica.
 
 This is the integration-test tier: slower than the in-memory network but
 exercising serialization, framing and genuine OS-level interleaving.
@@ -27,10 +34,11 @@ exercising serialization, framing and genuine OS-level interleaving.
 from __future__ import annotations
 
 import asyncio
-import inspect
+import functools
 import json
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..automata.base import (ClientOperation, ObjectAutomaton, Outgoing,
                              Sink, resolve_batch_handler)
@@ -43,6 +51,13 @@ from .codec import (BINARY_MAGIC, decode_message, decode_message_binary,
 from .hosts import as_frame, coalesce_outgoing
 
 _S_LEN = struct.Struct("<I")
+_S_HEAD = struct.Struct("<BI")  # magic, body length
+_S_FRAME_HEAD = struct.Struct("<BIBI")  # ... sender role, sender index
+#: first byte of a frame that lists the replicas it is meant for.
+ADDRESSED_MAGIC = 0xB2
+#: the destination count of an addressed frame is one byte.
+MAX_DESTINATIONS = 255
+_JSON_OPEN = ord("{")
 _ROLE_TO_CODE = {ROLE_WRITER: 0, ROLE_READER: 1, ROLE_OBJECT: 2}
 _CODE_TO_ROLE = {code: role for role, code in _ROLE_TO_CODE.items()}
 
@@ -65,12 +80,9 @@ def _frame_json(sender: ProcessId, payload: Any) -> bytes:
 def _frame_binary(sender: ProcessId, payload: Any) -> bytes:
     # [0xB1][u32 len][role u8][u32 index][message-frame]
     body = encode_message_binary(payload)
-    head = bytearray()
-    head.append(BINARY_MAGIC)
-    head += _S_LEN.pack(len(body) + 5)
-    head.append(_ROLE_TO_CODE[sender.role])
-    head += _S_LEN.pack(sender.index)
-    return bytes(head) + body
+    return _S_FRAME_HEAD.pack(BINARY_MAGIC, len(body) + 5,
+                              _ROLE_TO_CODE[sender.role],
+                              sender.index) + body
 
 
 def _frame(sender: ProcessId, payload: Any,
@@ -88,7 +100,8 @@ def _parse_json_line(line: bytes) -> Tuple[ProcessId, Any]:
         raise TransportError(f"malformed frame: {exc}") from exc
 
 
-def _parse_binary_body(body: bytes) -> Tuple[ProcessId, Any]:
+def _parse_binary_body(body: Union[bytes, memoryview]
+                       ) -> Tuple[ProcessId, Any]:
     try:
         role = _CODE_TO_ROLE.get(body[0])
         if role is None:
@@ -100,63 +113,147 @@ def _parse_binary_body(body: bytes) -> Tuple[ProcessId, Any]:
     return sender, decode_message_binary(memoryview(body)[5:])
 
 
+@functools.lru_cache(maxsize=None)
+def _dest_list(count: int) -> struct.Struct:
+    # destination count, the destinations
+    return struct.Struct(f"<B{count}H")
+
+
+def pack_addressed(dests: Sequence[int], frame: bytes) -> bytes:
+    """Wrap one *binary* frame with the object indices it is meant for."""
+    try:
+        listing = _dest_list(len(dests)).pack(len(dests), *dests)
+    except struct.error as exc:
+        raise TransportError(
+            f"unencodable destination list {list(dests)!r}: {exc}") from exc
+    return _S_HEAD.pack(ADDRESSED_MAGIC,
+                        len(listing) + len(frame)) + listing + frame
+
+
+def split_addressed(body: bytes) -> Tuple[Tuple[int, ...], bytes]:
+    """``(destinations, inner binary frame)`` of an addressed frame body.
+
+    The inner frame's own header is checked here, because the write-ahead
+    log stores the slice as it is and recovery trusts its length field.
+    """
+    try:
+        listing = _dest_list(body[0])
+        dests = listing.unpack_from(body)[1:]
+    except (IndexError, struct.error):
+        raise TransportError("truncated destination list") from None
+    if not dests:
+        raise TransportError("addressed frame names no destination")
+    frame = body[listing.size:]
+    if (len(frame) < _S_HEAD.size or frame[0] != BINARY_MAGIC
+            or _S_HEAD.unpack_from(frame)[1] != len(frame) - _S_HEAD.size):
+        raise TransportError("addressed frame does not wrap one binary frame")
+    return dests, frame
+
+
+async def _read_raw(reader: asyncio.StreamReader
+                    ) -> Optional[Tuple[bytes, bytes]]:
+    """``(header, body)`` of one frame of any format; ``None`` on clean EOF.
+
+    Two reads per frame: the five header bytes (magic + length), then the
+    body.  A JSON frame is longer than five bytes, so its "header" is
+    simply the head of the line and its body the rest.
+    """
+    try:
+        head = await reader.readexactly(_S_HEAD.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise TransportError("truncated frame header") from exc
+    magic = head[0]
+    if magic == BINARY_MAGIC or magic == ADDRESSED_MAGIC:
+        length = _S_HEAD.unpack(head)[1]
+        if length > 1 << 28:
+            raise TransportError("binary frame implausibly large")
+        try:
+            return head, await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise TransportError("truncated binary frame") from exc
+    if magic == _JSON_OPEN and b"\n" not in head:
+        return head, await reader.readline()
+    raise TransportError(f"unknown frame format (first byte {magic:#x})")
+
+
 async def read_frame(reader: asyncio.StreamReader
                      ) -> Optional[Tuple[ProcessId, Any]]:
-    """Read one frame of either format; ``None`` on clean EOF.
+    """Read one binary or JSON frame; ``None`` on clean EOF.
 
     The first byte decides: ``{`` opens a legacy newline-delimited JSON
     frame, :data:`~repro.runtime.codec.BINARY_MAGIC` a length-prefixed
-    binary one.
+    binary one.  Addressed frames only travel *towards* servers.
     """
-    try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
+    raw = await _read_raw(reader)
+    if raw is None:
         return None
-    if first == b"{":
-        line = await reader.readline()
-        return _parse_json_line(first + line)
-    if first[0] == BINARY_MAGIC:
-        try:
-            (length,) = _S_LEN.unpack(await reader.readexactly(4))
-            if length > 1 << 28:
-                raise TransportError("binary frame implausibly large")
-            return _parse_binary_body(await reader.readexactly(length))
-        except asyncio.IncompleteReadError as exc:
-            raise TransportError("truncated binary frame") from exc
-    raise TransportError(
-        f"unknown frame format (first byte {first[0]:#x})")
+    head, body = raw
+    if head[0] == BINARY_MAGIC:
+        return _parse_binary_body(body)
+    if head[0] == _JSON_OPEN:
+        return _parse_json_line(head + body)
+    raise TransportError("addressed frame on a client connection")
+
+
+#: ``frame_hook(object_index, sender, message, wire)``: ``message`` is the
+#: decoded request (possibly a ``Batch``), ``wire`` the binary frame it
+#: arrived as (``None`` for a JSON frame).  May return an awaitable.
+FrameHook = Callable[[int, ProcessId, Any, Optional[bytes]],
+                     Optional[Awaitable[None]]]
 
 
 class TcpObjectServer:
-    """Serves one object automaton on a localhost TCP port.
+    """Serves object automata on one localhost TCP port.
+
+    ``automaton`` is one object automaton or a sequence of them.  A
+    plain binary (or JSON) frame is handled by the first; an *addressed*
+    frame is decoded once and handled by every hosted automaton it
+    lists, in list order, and all their replies leave in one socket
+    write.  A destination nobody hosts is dropped and counted in
+    :attr:`misaddressed_frames` -- to the sender it is a slow object.
 
     ``wire_format`` selects the format of the *replies* ("binary",
     "json", or ``None`` to inherit the automaton config's setting);
     requests of either format are always accepted.  ``frame_hook``
-    (if given) observes every inbound ``(sender, message)`` part
-    *before* the automaton processes it -- the multiproc replica
-    runtime hangs its write-ahead log here, so a message's effects
-    cannot be acknowledged without its frame having been offered to
-    the log first.  The hook may be a coroutine function (e.g.
-    :meth:`~repro.runtime.wal.ReplicaDurability.log_async`, which
-    fsyncs in an executor); its awaitable is awaited before the
-    message is handled.
+    (see :data:`FrameHook`) observes every request *before* the
+    addressed automaton processes it -- the multiproc replica runtime
+    hangs its write-ahead log here, so a message's effects cannot be
+    acknowledged without its frame having been offered to the log
+    first.  When the hook returns an awaitable (a policy ``fsync``
+    running in an executor) it is awaited before the message is handled.
+
+    A peer that sends bytes which are not a frame has its connection
+    closed; :attr:`malformed_frames` counts those.
     """
 
-    def __init__(self, automaton: ObjectAutomaton,
+    def __init__(self,
+                 automaton: Union[ObjectAutomaton, Sequence[ObjectAutomaton]],
                  host: str = "127.0.0.1", port: int = 0,
                  wire_format: Optional[str] = None,
-                 frame_hook=None):
-        self.automaton = automaton
+                 frame_hook: Optional[FrameHook] = None):
+        automata = (list(automaton) if isinstance(automaton, (list, tuple))
+                    else [automaton])
+        self.automaton = automata[0]
         self.host = host
         self.port = port
         if wire_format is None:
-            wire_format = getattr(
-                getattr(automaton, "config", None), "wire_format", "binary")
+            wire_format = getattr(getattr(self.automaton, "config", None),
+                                  "wire_format", "binary")
         self.wire_format = wire_format
         self.frame_hook = frame_hook
-        self._handle_batch = resolve_batch_handler(automaton)
+        #: object index -> (its pid, its batch handler).
+        self._replicas = {
+            hosted.object_index: (obj(hosted.object_index),
+                                  resolve_batch_handler(hosted))
+            for hosted in automata}
+        self._unaddressed = (self.automaton.object_index,)
+        self.malformed_frames = 0
+        self.misaddressed_frames = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        #: connection handler task -> the connection it serves.
+        self._connections: Dict[Any, asyncio.StreamWriter] = {}
 
     async def start(self) -> int:
         self._server = await asyncio.start_server(
@@ -168,54 +265,94 @@ class TcpObjectServer:
         # Claim the server before suspending so concurrent stops cannot
         # both drive the close sequence against a stale reference.
         server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
+        if server is None:
+            return
+        server.close()
+        # Hang up on the peers too: their handlers then see EOF and
+        # return by themselves, instead of being cancelled by whoever
+        # tears the loop down.
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        await server.wait_closed()
+        if handlers:
+            await asyncio.wait(handlers)
+
+    def _parse(self, head: bytes, body: bytes
+               ) -> Tuple[Tuple[int, ...], ProcessId, Any, Optional[bytes]]:
+        """``(destinations, sender, message, wire)`` of one raw frame."""
+        magic = head[0]
+        if magic == ADDRESSED_MAGIC:
+            dests, wire = split_addressed(body)
+            sender, message = _parse_binary_body(
+                memoryview(wire)[_S_HEAD.size:])
+            return dests, sender, message, wire
+        if magic == BINARY_MAGIC:
+            sender, message = _parse_binary_body(body)
+            return self._unaddressed, sender, message, head + body
+        sender, message = _parse_json_line(head + body)
+        return self._unaddressed, sender, message, None
+
+    def _respond(self, replica: Tuple[ProcessId, Any], sender: ProcessId,
+                 parts: Tuple[Any, ...], out: List[bytes]) -> None:
+        """Run one replica on a request; append its reply frames."""
+        my_pid, handle_batch = replica
+        # One request -> at most one response frame per replica: the
+        # batch fast path appends every reply to the requester into one
+        # sink, coalesced into a single Batch frame.
+        sink: Sink = []
+        leftovers = handle_batch(sender, parts, sink) or []
+        for receiver, payload in coalesce_outgoing(leftovers):
+            # Objects reply only to the requesting client; replies
+            # addressed elsewhere cannot be routed on this socket.
+            if receiver != sender:
+                continue
+            if isinstance(payload, Message) \
+                    and not isinstance(payload, Batch):
+                sink.append(payload)
+            else:
+                # An already-batched (or exotic) reply cannot ride
+                # inside the sink frame; ship it as its own frame, as
+                # the pre-batching server did.
+                out.append(_frame(my_pid, payload, self.wire_format))
+        if sink:
+            out.append(_frame(my_pid, as_frame(sink), self.wire_format))
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        my_pid = obj(self.automaton.object_index)
-        wire_format = self.wire_format
+        replicas = self._replicas
+        hook = self.frame_hook
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
-                parsed = await read_frame(reader)
-                if parsed is None:
+                try:
+                    raw = await _read_raw(reader)
+                    if raw is None:
+                        break
+                    dests, sender, message, wire = self._parse(*raw)
+                except TransportError:
+                    self.malformed_frames += 1  # not a frame: hang up
                     break
-                sender, message = parsed
                 parts = unbatch(message)
-                if self.frame_hook is not None:
-                    for part in parts:
-                        hooked = self.frame_hook(sender, part)
-                        if inspect.isawaitable(hooked):
-                            await hooked
-                # One request frame -> at most one response frame: the
-                # batch fast path appends every reply to the requester
-                # into one sink, coalesced into a single Batch frame.
-                sink: Sink = []
-                leftovers = self._handle_batch(sender, parts, sink) or []
-                for receiver, payload in coalesce_outgoing(leftovers):
-                    # Objects reply only to the requesting client;
-                    # replies addressed elsewhere cannot be routed on
-                    # this socket.
-                    if receiver != sender:
+                out: List[bytes] = []
+                for index in dests:
+                    replica = replicas.get(index)
+                    if replica is None:
+                        self.misaddressed_frames += 1
                         continue
-                    if isinstance(payload, Message) \
-                            and not isinstance(payload, Batch):
-                        sink.append(payload)
-                    else:
-                        # An already-batched (or exotic) reply cannot
-                        # ride inside the sink frame; ship it as its
-                        # own frame, as the pre-batching server did.
-                        writer.write(_frame(my_pid, payload,
-                                            wire_format))
-                if sink:
-                    writer.write(_frame(my_pid, as_frame(sink),
-                                        wire_format))
-                await writer.drain()
-        except (ConnectionResetError, asyncio.IncompleteReadError,
-                asyncio.CancelledError):
+                    if hook is not None:
+                        pending = hook(index, sender, message, wire)
+                        if pending is not None:
+                            await pending
+                    self._respond(replica, sender, parts, out)
+                if out:
+                    writer.write(b"".join(out))
+                    await writer.drain()
+        except ConnectionError:
             pass
         finally:
+            del self._connections[handler]
             writer.close()
 
 

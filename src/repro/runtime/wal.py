@@ -20,7 +20,10 @@ where the payload is one **binary wire frame** -- the same
 (:func:`repro.runtime.tcp._frame_binary`).  Storing raw frames means the
 log needs no schema of its own: recovery feeds the frames back through
 the automaton's ``handle_batch`` with a discarded reply sink, and any
-message the codec can carry, the log can carry.
+message the codec can carry, the log can carry.  It also means a serving
+replica never encodes what it logs: the payload of an unbatched message
+*is* the frame it arrived as (:func:`durable_records`), and the
+compactor keeps those bytes, so a snapshot is a concatenation.
 
 Durability is *torn-tail safe*: a crash mid-append leaves a final record
 with a short or corrupt payload; :meth:`WriteAheadLog.replay` verifies
@@ -41,10 +44,11 @@ import asyncio
 import os
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Awaitable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import TransportError
-from ..messages import EpochFence, Message, Pw, W
+from ..messages import Batch, EpochFence, Message, Pw, W
 from ..types import ProcessId, WriterTag
 
 _S_RECORD = struct.Struct("<II")  # payload length, crc32(payload)
@@ -75,6 +79,26 @@ def unpack_frame(frame: bytes) -> Tuple[ProcessId, Any]:
         raise TransportError("stored frame shorter than its header")
     (length,) = struct.unpack_from("<I", frame, 1)
     return _parse_binary_body(frame[5:5 + length])
+
+
+def durable_records(sender: ProcessId, message: Any,
+                    wire: Optional[bytes] = None
+                    ) -> Sequence[Tuple[Message, bytes]]:
+    """``(message, WAL payload)`` per durable part of one inbound request.
+
+    ``wire`` is the binary frame the request arrived as.  For an
+    unbatched message that frame *is* ``pack_frame(sender, message)``,
+    so it is logged as it stands; the parts of a ``Batch`` share one
+    string table on the wire and are framed one by one.  Build this once
+    per inbound frame: every replica that logs it shares the result.
+    """
+    if not isinstance(message, Batch):
+        if not is_durable(message):
+            return ()
+        return ((message, wire if wire is not None
+                 else pack_frame(sender, message)),)
+    return [(part, pack_frame(sender, part))
+            for part in message.messages if is_durable(part)]
 
 
 def _pack_record(payload: bytes) -> bytes:
@@ -127,37 +151,38 @@ class WriteAheadLog:
         self._fh = open(path, "ab")
 
     # -- writing ------------------------------------------------------------
-    def append(self, payload: bytes) -> None:
-        self._fh.write(_pack_record(payload))
+    def _write(self, payloads: Sequence[bytes]) -> bool:
+        """Write and flush records; whether the policy wants a sync now."""
+        self._fh.write(b"".join([_pack_record(p) for p in payloads]))
         self._fh.flush()  # past userspace: a SIGKILL now loses nothing
-        if self.fsync == "always":
-            os.fsync(self._fh.fileno())
-        elif self.fsync == "batch":
-            self._appends_since_sync += 1
-            if self._appends_since_sync >= FSYNC_BATCH_INTERVAL:
-                self.sync()
+        if self.fsync == "batch":
+            self._appends_since_sync += len(payloads)
+            if self._appends_since_sync < FSYNC_BATCH_INTERVAL:
+                return False
+            self._appends_since_sync = 0
+            return True
+        return self.fsync == "always"
 
-    async def append_async(self, payload: bytes) -> None:
-        """:meth:`append` with any policy ``fsync`` off the event loop.
+    def append(self, payload: bytes) -> None:
+        if self._write((payload,)):
+            os.fsync(self._fh.fileno())
+
+    def append_records(self, payloads: Sequence[bytes]
+                       ) -> Optional[Awaitable[None]]:
+        """:meth:`append` for asyncio serving loops, several records at once.
 
         The write + flush happen inline (so record order matches call
-        order and the record already survives a process kill); a
-        policy-mandated ``os.fsync`` runs in the default executor and is
-        awaited, so a blocking disk sync never stalls an asyncio serving
-        loop while durable-before-ack is preserved -- the caller cannot
-        reply until the await returns.
+        order and the records already survive a process kill).  When the
+        policy wants an ``os.fsync`` it runs in the default executor and
+        its future is returned: a blocking disk sync never stalls the
+        serving loop, and the caller must await it before it replies
+        (durable before ack).  Otherwise -- most appends under
+        ``"batch"``, all under ``"never"`` -- returns ``None``.
         """
-        self._fh.write(_pack_record(payload))
-        self._fh.flush()  # reprolint: ok[blocking-async] -- page-cache barrier, microseconds; must precede the ack so record order matches call order and a SIGKILL after return loses nothing
-        if self.fsync == "always":
-            await asyncio.get_running_loop().run_in_executor(
+        if self._write(payloads):
+            return asyncio.get_running_loop().run_in_executor(
                 None, os.fsync, self._fh.fileno())
-        elif self.fsync == "batch":
-            self._appends_since_sync += 1
-            if self._appends_since_sync >= FSYNC_BATCH_INTERVAL:
-                self._appends_since_sync = 0
-                await asyncio.get_running_loop().run_in_executor(
-                    None, os.fsync, self._fh.fileno())
+        return None
 
     def sync(self) -> None:
         self._fh.flush()
@@ -232,43 +257,53 @@ class SnapshotStore:
 class _RegisterDigest:
     """The compacted durable state of one register slot.
 
-    Keeps the maximum-tag ``Pw`` and ``W`` frame seen (the write rounds
-    every lower-tagged round is superseded by) and the fence ratchet
-    (mirroring :meth:`~repro.automata.base.MultiRegisterObject.
+    Keeps the frame of the maximum-tag ``Pw`` and ``W`` seen (the write
+    rounds every lower-tagged round is superseded by) and the fence
+    ratchet (mirroring :meth:`~repro.automata.base.MultiRegisterObject.
     _on_epoch_fence`: epochs only ratchet up, ``hard`` is sticky, and a
     ``lift`` clears both).  Replaying these two-or-three frames leaves a
     fresh automaton holding the same top tag, top value and fence state
     as one that processed the whole log -- lower history entries are
     dropped, which is the state of a correct-but-slow replica and
     exactly what ``heal_replica`` is specified to top up.
+
+    Frames are kept as the bytes they were logged as, so taking a
+    snapshot encodes nothing.
     """
 
     __slots__ = ("pw", "w", "fence")
 
     def __init__(self):
-        self.pw: Optional[Tuple[WriterTag, ProcessId, Message]] = None
-        self.w: Optional[Tuple[WriterTag, ProcessId, Message]] = None
-        self.fence: Optional[Tuple[ProcessId, EpochFence]] = None
+        self.pw: Optional[Tuple[WriterTag, bytes]] = None
+        self.w: Optional[Tuple[WriterTag, bytes]] = None
+        self.fence: Optional[Tuple[EpochFence, bytes]] = None
 
-    def observe(self, sender: ProcessId, message: Message) -> None:
+    def observe(self, sender: ProcessId, message: Message,
+                payload: Optional[bytes] = None) -> None:
+        """``payload`` is ``pack_frame(sender, message)`` if the caller
+        already holds it."""
         if isinstance(message, Pw):
             if self.pw is None or message.tag >= self.pw[0]:
-                self.pw = (message.tag, sender, message)
+                self.pw = (message.tag,
+                           payload or pack_frame(sender, message))
         elif isinstance(message, W):
             if self.w is None or message.tag >= self.w[0]:
-                self.w = (message.tag, sender, message)
+                self.w = (message.tag,
+                          payload or pack_frame(sender, message))
         elif isinstance(message, EpochFence):
             if message.lift:
                 self.fence = None
                 return
-            current = self.fence[1] if self.fence is not None else None
+            current = self.fence[0] if self.fence is not None else None
             epoch = max(message.epoch,
                         current.epoch if current is not None else 0)
             hard = message.hard or (current is not None and current.hard)
             merged = EpochFence(nonce=message.nonce, epoch=epoch,
                                 register_id=message.register_id,
                                 hard=hard)
-            self.fence = (sender, merged)
+            if payload is None or merged != message:
+                payload = pack_frame(sender, merged)
+            self.fence = (merged, payload)
 
     def frames(self) -> List[bytes]:
         """Replay frames, write rounds before the fence.
@@ -276,14 +311,8 @@ class _RegisterDigest:
         The fence comes last so replaying the write rounds is never
         refused by the very fence that postdates them.
         """
-        out: List[bytes] = []
-        if self.pw is not None:
-            out.append(pack_frame(self.pw[1], self.pw[2]))
-        if self.w is not None:
-            out.append(pack_frame(self.w[1], self.w[2]))
-        if self.fence is not None:
-            out.append(pack_frame(self.fence[0], self.fence[1]))
-        return out
+        return [kept[1] for kept in (self.pw, self.w, self.fence)
+                if kept is not None]
 
 
 class FrameCompactor:
@@ -298,14 +327,15 @@ class FrameCompactor:
     def __init__(self):
         self._registers: Dict[str, _RegisterDigest] = {}
 
-    def observe(self, sender: ProcessId, message: Message) -> None:
+    def observe(self, sender: ProcessId, message: Message,
+                payload: Optional[bytes] = None) -> None:
         register_id = getattr(message, "register_id", None)
         if register_id is None:
             return
         digest = self._registers.get(register_id)
         if digest is None:
             digest = self._registers[register_id] = _RegisterDigest()
-        digest.observe(sender, message)
+        digest.observe(sender, message, payload)
 
     def snapshot_frames(self) -> List[bytes]:
         frames: List[bytes] = []
@@ -324,8 +354,10 @@ class ReplicaDurability:
 
     * :meth:`recover` -- load snapshot + WAL, return the frames to feed
       through the automaton (and prime the compactor with them);
-    * :meth:`log` -- called per inbound message; durable ones are
-      appended to the WAL and folded into the compactor;
+    * :meth:`log_records` -- called per inbound frame with its
+      :func:`durable_records`; they are appended to the WAL and folded
+      into the compactor (:meth:`log` is the one-message, synchronous
+      form);
     * :meth:`take_snapshot` -- persist the compactor's digest
       atomically, then truncate the WAL;
     * :meth:`close` -- final sync.
@@ -351,26 +383,32 @@ class ReplicaDurability:
                 sender, message = unpack_frame(payload)
             except TransportError:
                 continue  # an undecodable frame cannot be replayed
-            self.compactor.observe(sender, message)
+            self.compactor.observe(sender, message, payload)
             recovered.append((sender, message))
         return recovered
 
     def log(self, sender: ProcessId, message: Any) -> None:
-        if not is_durable(message):
-            return
-        self.compactor.observe(sender, message)
-        self.wal.append(pack_frame(sender, message))
-        self.records_since_snapshot += 1
+        for part, payload in durable_records(sender, message):
+            self.compactor.observe(sender, part, payload)
+            self.wal.append(payload)
+            self.records_since_snapshot += 1
 
-    async def log_async(self, sender: ProcessId, message: Any) -> None:
-        """:meth:`log` for asyncio serving loops: fsyncs run in the
-        default executor (awaited, so durable-before-ack holds) instead
-        of blocking every connection hosted by the loop."""
-        if not is_durable(message):
-            return
-        self.compactor.observe(sender, message)
-        self.records_since_snapshot += 1
-        await self.wal.append_async(pack_frame(sender, message))
+    def log_records(self, sender: ProcessId,
+                    records: Sequence[Tuple[Message, bytes]]
+                    ) -> Optional[Awaitable[None]]:
+        """Log one frame's :func:`durable_records` from a serving loop.
+
+        Returns what :meth:`WriteAheadLog.append_records` returns: the
+        policy ``fsync`` to await before the frame is acknowledged, or
+        ``None`` when none is due.
+        """
+        if not records:
+            return None
+        observe = self.compactor.observe
+        for part, payload in records:
+            observe(sender, part, payload)
+        self.records_since_snapshot += len(records)
+        return self.wal.append_records([payload for _, payload in records])
 
     def take_snapshot(self) -> int:
         """Persist the digest and truncate the WAL; returns frame count."""
@@ -390,6 +428,7 @@ __all__ = [
     "ReplicaDurability",
     "SnapshotStore",
     "WriteAheadLog",
+    "durable_records",
     "is_durable",
     "pack_frame",
     "scan_records",

@@ -3,12 +3,13 @@
 The in-proc deployment runs every replica, client host and shard group
 on one asyncio loop -- the GIL caps the whole cluster at one core.
 This module promotes replicas to **child OS processes**, each serving
-its object automata through :class:`~repro.runtime.tcp.TcpObjectServer`
-on the binary wire format, with the paper's fault model upgraded from
-crash-stop to crash-*recovery*:
+its object automata through one
+:class:`~repro.runtime.tcp.TcpObjectServer` on the binary wire format,
+with the paper's fault model upgraded from crash-stop to
+crash-*recovery*:
 
 * :class:`ReplicaProcess` -- one spawned child hosting one replica (or a
-  whole shard group, see ``granularity``), reporting its listen ports
+  whole shard group, see ``granularity``), reporting its listen port
   back over a pipe;
 * :class:`ReplicaProcessSupervisor` -- spawn, liveness monitoring
   (``is_alive`` + optional TCP health pings), ``kill -9`` fault
@@ -19,11 +20,12 @@ crash-stop to crash-*recovery*:
   tier run :meth:`~repro.service.reconfig.ReconfigCoordinator.
   heal_replica` to top up whatever the replica missed while dead;
 * :class:`ProcNetwork` -- an :class:`~repro.runtime.memnet.AsyncNetwork`
-  drop-in whose object-bound sends travel real sockets: per
-  (client, replica) channels that encode each payload once per
-  broadcast, queue frames while a replica is down (crash semantics:
-  the replica never saw them) and transparently reconnect to the
-  replica's *new* port after a restart;
+  drop-in whose object-bound sends travel real sockets: one link per
+  (client, child) that encodes each payload once per broadcast and
+  ships it as one *addressed* frame listing the replicas it is for (one
+  protocol round = one socket write each way), queues frames while the
+  child is down (crash semantics: the replicas never saw them) and
+  transparently reconnects to the child's *new* port after a restart;
 * :class:`ProcMultiRegisterStore` -- a
   :class:`~repro.service.store.MultiRegisterStore` whose base objects
   live in the supervised children.  Client hosts, per-register states,
@@ -46,7 +48,7 @@ import os
 import signal
 from dataclasses import dataclass
 from typing import (Any, Awaitable, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 from ..automata.base import Sink, resolve_batch_handler
 from ..config import SystemConfig
@@ -54,8 +56,9 @@ from ..errors import ConfigurationError, TransportError
 from ..messages import TagQuery
 from ..protocols import StorageProtocol
 from ..runtime.memnet import AsyncEnvelope, AsyncNetwork
-from ..runtime.tcp import TcpObjectServer, _frame_binary, read_frame
-from ..runtime.wal import ReplicaDurability
+from ..runtime.tcp import (MAX_DESTINATIONS, TcpObjectServer, _frame_binary,
+                           pack_addressed, read_frame)
+from ..runtime.wal import ReplicaDurability, durable_records
 from ..types import ProcessId, reader
 from .store import MultiRegisterStore
 
@@ -89,10 +92,47 @@ class ReplicaSpec:
     snapshot_every: int = 512
 
 
+class _ChildLog:
+    """The write-ahead logs of one child, as its server's frame hook.
+
+    Every hosted replica keeps its own log, but they all log the same
+    records: the payloads of one inbound frame are built once
+    (:func:`~repro.runtime.wal.durable_records`) and shared.
+    """
+
+    def __init__(self, stores: Dict[int, ReplicaDurability]):
+        self.stores = stores
+        #: single-entry memo; the strong ref makes the identity check safe.
+        self._message: Any = None
+        self._records: Any = ()
+
+    def __call__(self, index: int, sender: ProcessId, message: Any,
+                 wire: Optional[bytes]) -> Optional[Awaitable[None]]:
+        if message is not self._message:
+            self._message = message
+            self._records = durable_records(sender, message, wire)
+        return self.stores[index].log_records(sender, self._records)
+
+
+def _snapshot_one_due(stores: Dict[int, ReplicaDurability],
+                      snapshot_every: int) -> None:
+    """Snapshot at most one replica whose WAL has grown long enough.
+
+    The replicas of a child log the same records, so they all come due
+    in the same monitor tick; taking them one tick apart keeps the
+    serving loop from stalling behind every replica's fsyncs back to
+    back.
+    """
+    for store in stores.values():
+        if store.records_since_snapshot >= snapshot_every:
+            store.take_snapshot()
+            return
+
+
 async def _serve_replicas(spec: ReplicaSpec,
                           conn: "multiprocessing.connection.Connection"
                           ) -> None:
-    """Child-side serving loop: recover, listen, report ports, run.
+    """Child-side serving loop: recover, listen, report the port, run.
 
     Runs until the parent sends anything on the pipe (graceful stop) or
     the pipe breaks (parent died) -- children never outlive their
@@ -100,39 +140,30 @@ async def _serve_replicas(spec: ReplicaSpec,
     """
     protocol = spec.protocol_factory()
     automata = protocol.make_objects(spec.config)
-    servers: Dict[int, TcpObjectServer] = {}
     durability: Dict[int, ReplicaDurability] = {}
     for index in spec.indices:
-        automaton = automata[index]
         store = ReplicaDurability(
             os.path.join(spec.data_dir, f"replica-{index}"),
             fsync=spec.config.wal_fsync)
-        handler = resolve_batch_handler(automaton)
+        handler = resolve_batch_handler(automata[index])
         for sender, message in store.recover():
             sink: Sink = []  # recovery replies go nowhere
             handler(sender, (message,), sink)
-        # log_async: the WAL's policy fsync runs in an executor, so a
-        # strict durability policy never stalls the child's one serving
-        # loop (the await still orders ack after durability).
-        server = TcpObjectServer(automaton, host=spec.host, port=0,
-                                 frame_hook=store.log_async)
-        await server.start()
-        servers[index] = server
         durability[index] = store
-    conn.send({index: server.port for index, server in servers.items()})
+    server = TcpObjectServer([automata[index] for index in spec.indices],
+                             host=spec.host, port=0,
+                             frame_hook=_ChildLog(durability))
+    conn.send(await server.start())
     try:
         while True:
             await asyncio.sleep(MONITOR_INTERVAL)
             if conn.poll():
                 break  # any parent message means stop
-            for store in durability.values():
-                if store.records_since_snapshot >= spec.snapshot_every:
-                    store.take_snapshot()
+            _snapshot_one_due(durability, spec.snapshot_every)
     except (EOFError, OSError):
         pass  # parent is gone; fall through to cleanup
     finally:
-        for server in servers.values():
-            await server.stop()
+        await server.stop()
         for store in durability.values():
             store.take_snapshot()
             store.close()
@@ -155,16 +186,16 @@ class ReplicaProcess:
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.conn: Optional[
             "multiprocessing.connection.Connection"] = None
-        #: object index -> TCP port, valid once :meth:`start` returns.
-        self.ports: Dict[int, int] = {}
+        #: the child's TCP port, valid once :meth:`start` returns.
+        self.port: Optional[int] = None
 
-    async def start(self, timeout: float = 30.0) -> Dict[int, int]:
+    async def start(self, timeout: float = 30.0) -> int:
         """Spawn the child and await its port report."""
-        # The previous incarnation's ports are stale the moment a new
-        # child spawns; clear them so port_of()/endpoints() report the
-        # replica as down (not at a dead -- or recycled -- port) until
-        # the new port report lands.
-        self.ports = {}
+        # The previous incarnation's port is stale the moment a new
+        # child spawns; clear it so port_of() reports the replicas as
+        # down (not at a dead -- or recycled -- port) until the new
+        # port report lands.
+        self.port = None
         ctx = multiprocessing.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
@@ -188,10 +219,10 @@ class ReplicaProcess:
                 self.process.kill()  # reprolint: ok[blocking-async] -- one SIGKILL syscall, no wait
                 raise TransportError(
                     f"replica child for objects {self.spec.indices} did "
-                    f"not report ports within {timeout}s")
+                    f"not report its port within {timeout}s")
             await asyncio.sleep(0.01)
-        self.ports = parent_conn.recv()
-        return self.ports
+        self.port = parent_conn.recv()
+        return self.port
 
     def is_alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -235,8 +266,8 @@ class ReplicaProcessSupervisor:
     ``granularity`` decides the process layout: ``"replica"`` gives
     every base object its own child (independent failure domains, the
     paper's model), ``"group"`` puts the whole replica set in one child
-    (one spawn per shard group -- the scaling unit of the multiproc
-    bench).  The monitor task restarts any dead child; a restarted
+    (one spawn per shard group, and one socket write each way per
+    protocol round).  The monitor task restarts any dead child; a restarted
     child recovers from WAL + snapshot before reporting ports, and
     ``on_restart(index)`` then fires once per hosted object index so
     the service tier can run its ``heal_replica`` catch-up.
@@ -314,29 +345,32 @@ class ReplicaProcessSupervisor:
         await asyncio.gather(*(proc.stop() for proc in self._procs))
 
     # -- topology -----------------------------------------------------------
+    def _hosting(self, index: int) -> ReplicaProcess:
+        proc = self._proc_of.get(index)
+        if proc is None:
+            raise ConfigurationError(f"no replica process hosts {index}")
+        return proc
+
     def port_of(self, index: int) -> Optional[int]:
-        """The current TCP port of object ``index`` (``None`` if down)."""
+        """The current TCP port of the child hosting object ``index``
+        (``None`` if down)."""
         proc = self._proc_of.get(index)
         if proc is None or not proc.is_alive():
             return None
-        return proc.ports.get(index)
+        return proc.port
 
-    def endpoints(self) -> Dict[int, Tuple[str, int]]:
-        return {index: (self.host, port)
-                for index in self._proc_of
-                for port in [self.port_of(index)] if port is not None}
+    def hosted_with(self, index: int) -> Tuple[int, ...]:
+        """Every object index served by the child that hosts ``index``."""
+        return self._hosting(index).spec.indices
 
     # -- fault injection ----------------------------------------------------
     def kill_replica(self, index: int) -> None:
         """SIGKILL the child hosting ``index``; the monitor restarts it."""
-        proc = self._proc_of.get(index)
-        if proc is None:
-            raise ConfigurationError(f"no replica process hosts {index}")
-        proc.kill()
+        self._hosting(index).kill()
 
     # -- health -------------------------------------------------------------
     async def ping(self, index: int, timeout: float = 2.0) -> bool:
-        """One TCP round-trip through a replica's serving loop.
+        """One TCP round-trip through the serving loop of ``index``'s child.
 
         A :class:`~repro.messages.TagQuery` on a reserved register id:
         cheap, read-only, and answered by every protocol's object
@@ -422,57 +456,57 @@ class ReplicaProcessSupervisor:
                         "on_restart hook failed for object %d", index)
 
 
-class _ObjectChannel:
-    """One client's socket to one replica, with reconnect-on-restart.
+class _ChildLink:
+    """One client's socket to one replica child, with reconnect-on-restart.
 
     Sends are fire-and-forget from the caller's perspective (matching
-    :meth:`AsyncNetwork.send`): frames queue here and a writer task
-    drains them over the live connection.  While the replica is down
-    the queue simply grows -- those frames reach the replica after
-    restart, interleaved exactly as a slow network would deliver them
-    -- and frames written into a dying socket are lost, which is
-    precisely the crash semantics the protocols tolerate.  Replies pump
-    straight into the owning client's inbox.
+    :meth:`AsyncNetwork.send`): frames queue here with the replicas they
+    are for, and a writer task drains the whole queue in one socket
+    write of addressed frames.  While the child is down the queue simply
+    grows -- those frames reach the replicas after restart, interleaved
+    exactly as a slow network would deliver them -- and frames written
+    into a dying socket are lost, which is precisely the crash semantics
+    the protocols tolerate.  Replies pump straight into the owning
+    client's inbox.
     """
 
     __slots__ = ("network", "client", "index", "queue", "wakeup", "task",
-                 "flushes", "frames_flushed")
+                 "writes", "frames_written")
 
     def __init__(self, network: "ProcNetwork", client: ProcessId,
                  index: int):
         self.network = network
         self.client = client
-        self.index = index
-        self.queue: List[bytes] = []
+        self.index = index  # any replica of the child: they share a port
+        #: (binary frame, the object indices it is addressed to)
+        self.queue: List[Tuple[bytes, List[int]]] = []
         self.wakeup = asyncio.Event()
-        self.flushes = 0
-        self.frames_flushed = 0
+        self.writes = 0
+        self.frames_written = 0
         self.task = asyncio.get_running_loop().create_task(self._run())
 
-    def enqueue(self, frame: bytes) -> None:
-        self.queue.append(frame)
-        self.wakeup.set()
+    def enqueue(self, index: int, frame: bytes) -> None:
+        """Queue ``frame`` for replica ``index``.
+
+        A broadcast sends the same frame object to replica after
+        replica; those sends merge into one addressed frame.
+        """
+        queue = self.queue
+        if (queue and queue[-1][0] is frame
+                and len(queue[-1][1]) < MAX_DESTINATIONS):
+            queue[-1][1].append(index)
+        else:
+            queue.append((frame, [index]))
+            self.wakeup.set()
 
     def close(self) -> None:
         self.task.cancel()
-
-    @staticmethod
-    def coalesce(frames: List[bytes]) -> bytes:
-        """All queued frames as one write-sized buffer.
-
-        Frames are length-prefixed and self-delimiting, so concatenation
-        is the wire format; handing the transport one buffer per drain
-        (instead of one ``write`` per frame) keeps a vector round's
-        fan-out from degenerating into per-frame syscalls under
-        ``TCP_NODELAY``-style transports.
-        """
-        return frames[0] if len(frames) == 1 else b"".join(frames)
 
     async def _run(self) -> None:
         while True:
             port = self.network.port_of(self.index)
             if port is None:
-                await asyncio.sleep(0.05)  # replica down or restarting
+                await asyncio.sleep(0.05)  # child down or restarting
                 continue
             try:
                 reader_s, writer_s = await asyncio.open_connection(
@@ -482,18 +516,26 @@ class _ObjectChannel:
                 continue
             pump = asyncio.get_running_loop().create_task(
                 self._pump(reader_s))
+            # The reader is the first to learn that the child died (EOF);
+            # a write into the dead socket would still succeed, and lose
+            # the frame.  So its end wakes the writer ...
+            pump.add_done_callback(lambda _: self.wakeup.set())
             try:
                 while True:
                     if not self.queue:
                         self.wakeup.clear()
                         await self.wakeup.wait()
-                    frames, self.queue = self.queue, []
-                    writer_s.write(self.coalesce(frames))
-                    self.flushes += 1
-                    self.frames_flushed += len(frames)
+                    if pump.done():
+                        break  # ... which reconnects, its queue intact
+                    queued, self.queue = self.queue, []
+                    writer_s.write(b"".join(
+                        [pack_addressed(dests, frame)
+                         for frame, dests in queued]))
+                    self.writes += 1
+                    self.frames_written += len(queued)
                     await writer_s.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass  # replica died mid-write: reconnect loop takes over
+            except OSError:
+                pass  # child died mid-write: reconnect loop takes over
             finally:
                 pump.cancel()
                 writer_s.close()
@@ -506,7 +548,7 @@ class _ObjectChannel:
                     return
                 sender, message = parsed
                 self.network.deliver_local(sender, self.client, message)
-        except (ConnectionResetError, TransportError, OSError):
+        except (TransportError, OSError):
             return
 
 
@@ -514,10 +556,10 @@ class ProcNetwork(AsyncNetwork):
     """The in-memory network's interface over real replica sockets.
 
     Client pids keep ordinary in-memory inboxes (client hosts are
-    unchanged); sends *to object pids* are encoded once and fanned out
-    over per-(client, object) :class:`_ObjectChannel` s.  Port lookups
-    go through the supervisor on every (re)connect, so a replica coming
-    back on a fresh port is picked up without any rewiring.
+    unchanged); sends *to object pids* are encoded once and queued on
+    the sender's :class:`_ChildLink` to the child hosting the object.
+    Port lookups go through the supervisor on every (re)connect, so a
+    child coming back on a fresh port is picked up without any rewiring.
     """
 
     def __init__(self, supervisor: ReplicaProcessSupervisor,
@@ -525,7 +567,9 @@ class ProcNetwork(AsyncNetwork):
         super().__init__(jitter=0.0, seed=seed)  # real sockets jitter
         self.supervisor = supervisor
         self.host = supervisor.host
-        self._channels: Dict[Tuple[ProcessId, int], _ObjectChannel] = {}
+        #: (client, object index) -> the client's link to the child
+        #: hosting that object; replicas of one child share the link.
+        self._links: Dict[Tuple[ProcessId, int], _ChildLink] = {}
         #: single-entry encode memo: a vector broadcast sends the *same*
         #: payload object to every replica -- encode it once, not S
         #: times.  The strong payload ref makes the identity check safe.
@@ -533,6 +577,10 @@ class ProcNetwork(AsyncNetwork):
 
     def port_of(self, index: int) -> Optional[int]:
         return self.supervisor.port_of(index)
+
+    def links(self) -> List[_ChildLink]:
+        """Every open link, once."""
+        return list(set(self._links.values()))
 
     def deliver_local(self, sender: ProcessId, receiver: ProcessId,
                       message: Any) -> None:
@@ -556,17 +604,19 @@ class ProcNetwork(AsyncNetwork):
         else:
             frame = _frame_binary(sender, payload)
             self._memo = (sender, payload, frame)
-        key = (sender, receiver.index)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channels[key] = _ObjectChannel(
-                self, sender, receiver.index)
-        channel.enqueue(frame)
+        index = receiver.index
+        link = self._links.get((sender, index))
+        if link is None:
+            hosted = self.supervisor.hosted_with(index)
+            link = _ChildLink(self, sender, index)
+            for sibling in hosted:
+                self._links[(sender, sibling)] = link
+        link.enqueue(index, frame)
 
     def close(self) -> None:
-        for channel in self._channels.values():
-            channel.close()
-        self._channels.clear()
+        for link in self.links():
+            link.close()
+        self._links.clear()
 
 
 class ProcMultiRegisterStore(MultiRegisterStore):
@@ -654,8 +704,8 @@ class ProcMultiRegisterStore(MultiRegisterStore):
         The supervisor's monitor respawns a dead child automatically;
         this method only validates the request and hands back a fresh
         automaton instance for interface parity with the in-proc
-        store.  Client traffic queued in the object's channels flushes
-        once the replica reports its new port.
+        store.  Client traffic queued on the links to the object's
+        child flushes once the child reports its new port.
         """
         if automaton is not None:
             raise ConfigurationError(

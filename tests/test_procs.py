@@ -21,13 +21,15 @@ from repro.core.atomic import AtomicStorageProtocol
 from repro.core.regular import RegularStorageProtocol
 from repro.errors import (ConfigurationError, PreconditionFailedError,
                           ReplicaUnavailableError)
-from repro.messages import TagQuery
+from repro.messages import Pw, TagQuery
 from repro.runtime.tcp import (TcpObjectServer, TcpStorageClient,
                                _frame_binary)
+from repro.runtime.wal import ReplicaDurability, durable_records, pack_frame
+from repro.service import procs
 from repro.service.procs import ProcMultiRegisterStore
 from repro.service.sharded import ShardedKVStore
 from repro.spec.checkers import check_mwmr_atomicity
-from repro.types import WRITER
+from repro.types import TimestampValue, TsrArray, WRITER, WriteTuple
 
 
 def run(coro):
@@ -86,39 +88,43 @@ class TestMultiprocServing:
 
         run(scenario())
 
-    def test_channel_coalesces_queued_frames_per_flush(self, tmp_path):
-        """A drain hands the transport one buffer, not one write per
-        queued frame -- the flush count stays far below the frame
-        count under vector fan-out."""
-        async def scenario():
+    def test_one_socket_write_per_client_and_child_drain(self, tmp_path):
+        """Whatever a client has queued for a child leaves in one socket
+        write, and a round to the whole replica set is one frame of it:
+        a solo write is two rounds, so two writes -- not two per replica.
+        """
+        async def scenario(monkeypatch):
+            socket_writes = []
+            write = asyncio.StreamWriter.write
+            monkeypatch.setattr(
+                asyncio.StreamWriter, "write",
+                lambda self, data: (socket_writes.append(len(data)),
+                                    write(self, data))[1])
             store = ProcMultiRegisterStore(
                 RegularStorageProtocol, MULTIPROC, str(tmp_path),
                 granularity="group")
             async with store:
+                await store.write("solo", 0)
+                link, = store.network.links()  # one client, one child
+                assert (link.writes, link.frames_written) == (2, 2)
+                assert store.network.messages_sent == 2 * 4
                 # Concurrent operations enqueue their frames before the
-                # channel writer task gets a turn, so drains see queues
-                # of more than one frame.
+                # link's writer task gets a turn, so drains see queues of
+                # more than one frame.
                 await asyncio.gather(
                     *(store.write(f"c{i}", i) for i in range(16)))
                 await asyncio.gather(
                     *(store.read(f"c{i}") for i in range(16)))
-                channels = list(store.network._channels.values())
-                assert channels, "client traffic must open channels"
-                frames = sum(c.frames_flushed for c in channels)
-                flushes = sum(c.flushes for c in channels)
-                assert frames >= flushes > 0
-                return frames, flushes
+                links = store.network.links()
+                assert len(links) == 2  # the writer's and the reader's
+                # only links write to sockets in this process
+                assert len(socket_writes) == sum(l.writes for l in links)
+                return (sum(l.frames_written for l in links),
+                        len(socket_writes))
 
-        frames, flushes = run(scenario())
-        # Not a strict inequality per channel (a lone frame flushes
-        # alone), but across a batched workload coalescing must engage.
-        assert flushes < frames
-
-    def test_coalesce_is_frame_concatenation(self):
-        from repro.service.procs import _ObjectChannel
-        frames = [b"\x01aa", b"\x02bb", b"\x03cc"]
-        assert _ObjectChannel.coalesce(frames) == b"\x01aa\x02bb\x03cc"
-        assert _ObjectChannel.coalesce([b"solo"]) == b"solo"
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            frames, writes = run(scenario(monkeypatch))
+        assert 0 < writes < frames
 
     def test_multiproc_fault_verbs(self, tmp_path):
         async def scenario():
@@ -137,11 +143,68 @@ class TestMultiprocServing:
 
 
 # ---------------------------------------------------------------------------
+# the child's write-ahead logs (no process needed)
+# ---------------------------------------------------------------------------
+
+
+class TestChildDurability:
+    @staticmethod
+    def _pw(ts):
+        tsval = TimestampValue(ts, f"v{ts}")
+        tsr = TsrArray(((0,),) * MULTIPROC.num_objects)
+        return Pw(ts=ts, pw=tsval, w=WriteTuple(tsval, tsr))
+
+    def _stores(self, tmp_path):
+        return {index: ReplicaDurability(str(tmp_path / f"replica-{index}"),
+                                         fsync="never")
+                for index in range(3)}
+
+    def test_one_payload_per_frame_shared_by_every_replica(
+            self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            procs, "durable_records",
+            lambda *args: built.append(args) or durable_records(*args))
+        stores = self._stores(tmp_path)
+        log = procs._ChildLog(stores)
+        for ts in (1, 2):
+            message = self._pw(ts)
+            wire = pack_frame(WRITER, message)
+            for index in stores:
+                assert log(index, WRITER, message, wire) is None
+        assert len(built) == 2  # per frame, not per (frame, replica)
+        for store in stores.values():
+            assert store.wal.replay() == [pack_frame(WRITER, self._pw(1)),
+                                          pack_frame(WRITER, self._pw(2))]
+            store.close()
+
+    def test_at_most_one_snapshot_per_tick(self, tmp_path):
+        stores = self._stores(tmp_path)
+        for store in stores.values():
+            for ts in range(1, 6):
+                store.log(WRITER, self._pw(ts))
+        for taken in (1, 2, 3, 3):
+            procs._snapshot_one_due(stores, snapshot_every=5)
+            assert sum(store.records_since_snapshot == 0
+                       for store in stores.values()) == taken
+        for store in stores.values():
+            store.close()
+
+
+# ---------------------------------------------------------------------------
 # kill -9 and recover (WAL + snapshot + heal), atomicity-checked
 # ---------------------------------------------------------------------------
 
 
 class TestKillAndRecover:
+    @staticmethod
+    async def _await_restart(shard, index):
+        for _ in range(400):
+            if shard.supervisor.restarts.get(index):
+                break
+            await asyncio.sleep(0.05)
+        assert shard.supervisor.restarts.get(index) == 1
+
     def test_kill_recover_preserves_atomicity(self, tmp_path):
         """SIGKILL one replica mid-load; recovery must leave zero
         violations under :func:`check_mwmr_atomicity`."""
@@ -160,14 +223,49 @@ class TestKillAndRecover:
                     cluster.kv.crash_replica("k0", 1)  # real SIGKILL
                     for i in range(6, 12):
                         await session.put(f"k{i}", i)
-                    for _ in range(400):  # await supervisor restart
-                        if shard.supervisor.restarts.get(1):
-                            break
-                        await asyncio.sleep(0.05)
-                    assert shard.supervisor.restarts.get(1) == 1
+                    await self._await_restart(shard, 1)
                     await asyncio.sleep(0.3)  # let auto-heal settle
                     for i in range(12):
                         assert await session.get(f"k{i}") == i
+                result = cluster.admin().check(check_mwmr_atomicity)
+                assert result.checked_reads > 0
+                assert not result.violations, result.violations
+
+        run(scenario())
+
+    def test_group_child_serves_again_right_after_its_restart(
+            self, tmp_path):
+        """``granularity="group"``: the kill takes the whole replica set
+        down, so nothing can complete until the supervisor has restarted
+        it -- and then everything must, at once.  The client's link
+        learns of the death from its reader (EOF); if its writer kept
+        the dead socket, the first frames after the restart (auto-heal's
+        first round) would be lost and every later ``put`` to a healed
+        key would fail against the register the hung heal still holds.
+        """
+
+        async def scenario():
+            config = SystemConfig.optimal(
+                t=1, b=1, num_writers=2).with_deployment("multiproc")
+            cluster = Cluster(AtomicStorageProtocol, config, num_shards=1,
+                              granularity="group", record_history=True,
+                              data_dir=str(tmp_path))
+            async with cluster:
+                shard = next(iter(cluster.kv.shards.values()))
+                async with cluster.session() as session:
+                    for i in range(6):
+                        await session.put(f"k{i}", i)
+                    cluster.kv.crash_replica("k0", 1)
+                    await self._await_restart(shard, 1)
+                    # acknowledged before the kill: in the WAL, so back
+                    for i in range(6):
+                        assert await asyncio.wait_for(
+                            session.get(f"k{i}"), 10) == i
+                    for i in range(12):
+                        await asyncio.wait_for(
+                            session.put(f"k{i}", i + 100), 10)
+                    for i in range(12):
+                        assert await session.get(f"k{i}") == i + 100
                 result = cluster.admin().check(check_mwmr_atomicity)
                 assert result.checked_reads > 0
                 assert not result.violations, result.violations

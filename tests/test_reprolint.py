@@ -676,6 +676,7 @@ class TestLifecycleClaimFirst:
             server = TcpObjectServer.__new__(TcpObjectServer)
             fake = FakeServer()
             server._server = fake
+            server._connections = {}
             await asyncio.gather(server.stop(), server.stop())
             return fake
 

@@ -5,7 +5,11 @@ Three families:
 1. record framing: CRC-framed round-trips over generated frame
    payloads, including torn-tail truncation on arbitrary cut points;
 2. frame codec: ``unpack_frame(pack_frame(...))`` over generated
-   durable protocol messages;
+   durable protocol messages, and the zero-re-encode path: what a
+   serving replica logs (a slice of the inbound frame) and snapshots
+   (the logged bytes, concatenated) is byte for byte what
+   ``pack_frame`` would have produced -- so the on-disk format is the
+   one older data directories were written in;
 3. snapshot + replay equivalence: an automaton recovered from
    snapshot + WAL holds the same top tag, value and fence state as the
    automaton that processed the original message stream.
@@ -20,11 +24,12 @@ from hypothesis import strategies as st
 from repro.automata.base import resolve_batch_handler
 from repro.config import SystemConfig
 from repro.core.regular import RegularStorageProtocol
-from repro.messages import EpochFence, Pw, ReadRequest, TagQuery, W
+from repro.messages import Batch, EpochFence, Pw, ReadRequest, TagQuery, W
+from repro.runtime.tcp import TcpObjectServer, pack_addressed
 from repro.runtime.wal import (DURABLE_TYPES, FrameCompactor,
                                ReplicaDurability, SnapshotStore,
-                               WriteAheadLog, is_durable, pack_frame,
-                               scan_records, unpack_frame)
+                               WriteAheadLog, durable_records, is_durable,
+                               pack_frame, scan_records, unpack_frame)
 from repro.types import (TimestampValue, TsrArray, WriteTuple, WriterTag,
                          obj, reader, writer)
 
@@ -34,19 +39,24 @@ CONFIG = SystemConfig.optimal(t=1, b=1, num_readers=2)
 # strategies
 # ---------------------------------------------------------------------------
 
-registers = st.sampled_from(["k0", "key:1", "a/b·c"])
+registers = st.sampled_from(["k0", "key:1", "a/b·c", "", "ключ-🔑"])
 epochs = st.integers(min_value=1, max_value=2**32)
 wids = st.integers(min_value=0, max_value=2**10)
+#: ``None`` stands for the default ``"v<ts>.<wid>"`` string.
+values = st.one_of(st.none(), st.text(max_size=12),
+                   st.integers(-2**80, 2**80), st.binary(max_size=12),
+                   st.floats(allow_nan=False), st.booleans())
 
 
-def _tsval(ts, wid):
-    return TimestampValue(ts, f"v{ts}.{wid}", wid=wid)
+def _tsval(ts, wid, value=None):
+    return TimestampValue(ts, f"v{ts}.{wid}" if value is None else value,
+                          wid=wid)
 
 
-def _wtuple(ts, wid):
+def _wtuple(ts, wid, value=None):
     tsr = TsrArray(tuple((0,) * CONFIG.num_readers
                          for _ in range(CONFIG.num_objects)))
-    return WriteTuple(_tsval(ts, wid), tsr)
+    return WriteTuple(_tsval(ts, wid, value), tsr)
 
 
 @st.composite
@@ -58,9 +68,10 @@ def durable_messages(draw):
                           epoch=draw(epochs), register_id=register_id,
                           hard=draw(st.booleans()),
                           lift=draw(st.booleans()))
-    ts, wid = draw(epochs), draw(wids)
+    ts, wid, value = draw(epochs), draw(wids), draw(values)
     cls = Pw if shape == 0 else W
-    return cls(ts=ts, pw=_tsval(ts, wid), w=_wtuple(ts - 1 or 1, wid),
+    return cls(ts=ts, pw=_tsval(ts, wid, value),
+               w=_wtuple(ts - 1 or 1, wid, value),
                register_id=register_id, wid=wid)
 
 
@@ -178,6 +189,116 @@ class TestFrameCodec:
         assert recovered == [(sender, message)]
 
 
+class TestZeroReencode:
+    """The bytes a serving replica logs and snapshots, against
+    ``pack_frame`` of the messages they decode to."""
+
+    #: ``_pack_record(pack_frame(...))`` as the parent commit wrote it:
+    #: a ``Pw`` (unicode register id and value, a bigint) from writer 1
+    #: and a hard ``EpochFence`` from reader 0.
+    PINNED = [
+        (writer(1),
+         Pw(ts=3, pw=TimestampValue(3, "ключ-🔑", wid=1),
+            w=WriteTuple(TimestampValue(2, 2**70, wid=1),
+                         _wtuple(1, 0).tsrarray),
+            register_id="a/b·c", wid=1),
+         "ab000000d67f42ffb1a60000000001000000b1010300000000000000010000"
+         "00ff06000000612f62c2b76303000000000000000100000007ff0d000000d0"
+         "bad0bbd18ed1872df09f94910200000000000000010000000516003131383"
+         "0353931363230373137343131333033343234040002" + "00" * 65),
+        (reader(0),
+         EpochFence(nonce=5, epoch=9, register_id="a/b·c", hard=True),
+         "2800000071e689d0b1230000000100000000b10705000000000000000900000"
+         "00000000001ff06000000612f62c2b763"),
+    ]
+
+    @staticmethod
+    def _as_served(sender, message, dests=(0, 1, 2, 3)):
+        """``(sender, message, wire)`` as the replica child's server
+        hands an addressed frame to its frame hook."""
+        server = TcpObjectServer(
+            RegularStorageProtocol().make_objects(CONFIG))
+        outer = pack_addressed(dests, pack_frame(sender, message))
+        _, sender, message, wire = server._parse(outer[:5], outer[5:])
+        return sender, message, wire
+
+    @given(senders(), durable_messages())
+    @settings(max_examples=150, deadline=None)
+    def test_sliced_payload_is_pack_frame(self, sender, message):
+        sender2, message2, wire = self._as_served(sender, message)
+        (logged, payload), = durable_records(sender2, message2, wire)
+        assert payload is wire  # not re-encoded
+        assert payload == pack_frame(sender2, logged)
+        assert (sender2, logged) == (sender, message)
+
+    @given(senders(), st.lists(durable_messages(), min_size=2, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_batch_parts_are_framed_one_by_one(self, sender, parts):
+        batch = Batch(messages=(TagQuery(nonce=1), *parts))
+        sender2, batch2, wire = self._as_served(sender, batch)
+        records = durable_records(sender2, batch2, wire)
+        assert [part for part, _ in records] == parts
+        assert [payload for _, payload in records] == [
+            pack_frame(sender, part) for part in parts]
+
+    def test_queries_are_not_logged(self):
+        assert not durable_records(*self._as_served(writer(0),
+                                                    TagQuery(nonce=0)))
+        assert not durable_records(writer(0), Batch(messages=(
+            TagQuery(nonce=0), TagQuery(nonce=1))))
+
+    def test_on_disk_records_are_the_parent_commits(self, tmp_path):
+        """Logged through the serving path, the file holds exactly the
+        bytes the previous format did -- and those bytes recover."""
+        store = ReplicaDurability(str(tmp_path), fsync="never")
+        for sender, message, _ in self.PINNED:
+            sender, message, wire = self._as_served(sender, message)
+            assert store.log_records(
+                sender, durable_records(sender, message, wire)) is None
+        store.close()
+        with open(store.wal.path, "rb") as fh:
+            assert fh.read().hex() == "".join(
+                record for _, _, record in self.PINNED)
+        assert ReplicaDurability(str(tmp_path)).recover() == [
+            (sender, message) for sender, message, _ in self.PINNED]
+
+    @staticmethod
+    def _reencoded_snapshot(stream):
+        """The digest as specified, kept as messages and encoded at
+        snapshot time (what the compactor did before it kept bytes)."""
+        tops, fences = {}, {}
+        for sender, message in stream:
+            key = message.register_id
+            if isinstance(message, EpochFence):
+                if message.lift:
+                    fences.pop(key, None)
+                    continue
+                _, old = fences.get(key, (None, None))
+                fences[key] = (sender, EpochFence(
+                    nonce=message.nonce, register_id=key,
+                    epoch=max(message.epoch, old.epoch if old else 0),
+                    hard=message.hard or bool(old and old.hard)))
+            else:
+                slot = (key, type(message))
+                if slot not in tops or message.tag >= tops[slot][1].tag:
+                    tops[slot] = (sender, message)
+        frames = []
+        for key in sorted({k for k, _ in tops} | set(fences)):
+            for kept in (tops.get((key, Pw)), tops.get((key, W)),
+                         fences.get(key)):
+                if kept is not None:
+                    frames.append(pack_frame(*kept))
+        return frames
+
+    @given(st.lists(st.tuples(senders(), durable_messages()), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_snapshot_from_cached_bytes_is_the_reencoded_one(self, stream):
+        cached = FrameCompactor()
+        for sender, message in stream:
+            cached.observe(sender, message, pack_frame(sender, message))
+        assert cached.snapshot_frames() == self._reencoded_snapshot(stream)
+
+
 # ---------------------------------------------------------------------------
 # 3. snapshot + replay equivalence
 # ---------------------------------------------------------------------------
@@ -252,6 +373,48 @@ class TestSnapshotReplayEquivalence:
         recovered = self._fresh()
         _drive(recovered, recovered_store.recover())
         self._assert_equivalent(reference, recovered, keys)
+
+    def test_snapshot_plus_wal_replay_matches_with_fences(self, tmp_path):
+        """Fence, merged fence (a later, lower, hard one), lift and a
+        fence after the lift, on both sides of a snapshot."""
+        def fence(key, nonce, epoch, **flags):
+            return (writer(1), EpochFence(nonce=nonce, epoch=epoch,
+                                          register_id=key, **flags))
+
+        def write(key, ts):
+            pw = _tsval(ts, 0)
+            return [(writer(0), Pw(ts=ts, pw=pw, w=_wtuple(ts - 1 or 1, 0),
+                                   register_id=key)),
+                    (writer(0), W(ts=ts, pw=pw, w=_wtuple(ts, 0),
+                                  register_id=key))]
+
+        keys = ["a", "b", "c", "d"]
+        first = [*write("a", 1), *write("a", 2), fence("a", 1, 2),
+                 *write("b", 1), fence("b", 2, 9, hard=True),
+                 fence("c", 3, 4), *write("d", 1), fence("d", 4, 7)]
+        second = [*write("a", 3), fence("a", 5, 1, hard=True),  # merges
+                  fence("b", 6, 0, lift=True), *write("b", 2),
+                  fence("b", 7, 2),
+                  fence("c", 8, 0, lift=True),
+                  fence("d", 9, 8)]
+        durability = ReplicaDurability(str(tmp_path), fsync="never")
+        reference = self._fresh()
+        _drive(reference, first, durability)
+        assert durability.take_snapshot() > 0
+        _drive(reference, second, durability)
+        durability.close()
+
+        for snapshot_again in (False, True):
+            store = ReplicaDurability(str(tmp_path))
+            recovered = self._fresh()
+            _drive(recovered, store.recover())
+            self._assert_equivalent(reference, recovered, keys)
+            assert recovered.fences == reference.fences == {
+                "a": 2, "b": 2, "d": 8}
+            assert recovered.hard_fences == reference.hard_fences == {"a"}
+            if not snapshot_again:
+                store.take_snapshot()  # from recovered (on-disk) bytes
+            store.close()
 
     def test_snapshot_bounds_state_and_truncates_wal(self, tmp_path):
         durability = ReplicaDurability(str(tmp_path), fsync="never")
