@@ -13,7 +13,7 @@ snapshots of raw binary wire frames) for the multiproc deployment.
 
 from .codec import (decode_message, decode_value, encode_message,
                     encode_value, register_codec)
-from .hosts import ClientHost, MuxClientHost, ObjectHost, coalesce_outgoing
+from .hosts import MuxClientHost, ObjectHost, coalesce_outgoing
 from .memnet import AsyncEnvelope, AsyncNetwork
 from .storage import AsyncStorage
 from .tcp import TcpObjectServer, TcpStorageClient
@@ -29,7 +29,6 @@ __all__ = [
     "AsyncNetwork",
     "AsyncEnvelope",
     "ObjectHost",
-    "ClientHost",
     "MuxClientHost",
     "coalesce_outgoing",
     "TcpObjectServer",

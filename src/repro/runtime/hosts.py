@@ -1,29 +1,35 @@
-"""Asyncio hosts: run object automata and client operations as tasks.
+"""Asyncio hosts: object automata and client operations as mailbox consumers.
 
-Two client-side shapes exist:
+A host is not a task.  It attaches one plain function to its pid's
+mailbox (see :mod:`repro.runtime.memnet` for delivery order and the
+loop-hold bound); each call gets every envelope that arrived since the
+last one, steps the automaton (or the pending operations) over the whole
+burst and sends the replies, one coalesced envelope per destination.
+``stop()`` detaches, and later mail parks in the mailbox -- which is
+what replica hand-over and ``crash``/``restore`` build on.
 
-* :class:`ClientHost` -- the classic one-operation-at-a-time pump; simple
-  and sufficient when a client only ever has one operation in flight.
-* :class:`MuxClientHost` -- the multiplexing pump of the service tier: one
-  process (one inbox, one task) drives *many* concurrent operations, one
+* :class:`ObjectHost` -- one replica.  A frame that makes the automaton
+  raise is dropped and counted; the replica keeps serving.
+* :class:`MuxClientHost` -- the multiplexing client of the service tier:
+  one process (one mailbox) drives *many* concurrent operations, one
   per register, routing replies by their ``register_id`` and coalescing
   same-step messages to the same object into :class:`~repro.messages.
   Batch` envelopes.  This is what lets one replica set serve thousands of
-  registers without per-register hosts or tasks.
+  registers without per-register hosts.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..automata.base import (ClientOperation, ObjectAutomaton, Outgoing,
                              Sink, resolve_batch_handler)
 from ..errors import BackpressureError, BusyRegisterError, TransportError
-from ..messages import Batch, Message, register_of, unbatch
+from ..messages import Batch, Message, unbatch
 from ..spec.histories import History, READ, WRITE
 from ..types import DEFAULT_REGISTER, ProcessId, obj
-from .memnet import AsyncNetwork
+from .memnet import AsyncEnvelope, AsyncNetwork, report_error
 
 
 def fast_batch(messages: Tuple[Message, ...]) -> Batch:
@@ -77,15 +83,15 @@ def coalesce_outgoing(outgoing: Outgoing) -> Outgoing:
 
 
 class ObjectHost:
-    """Runs one :class:`ObjectAutomaton` as an asyncio task.
+    """Serves one :class:`ObjectAutomaton` from its pid's mailbox.
 
     Batched envelopes are unwrapped, processed back to back, and the
     replies re-coalesced per destination -- N same-round requests from a
     multiplexed client come back as one ack envelope.
 
     Constructing a host for an already-registered pid takes over that
-    pid's *existing* inbox (see :meth:`AsyncNetwork.register`): replica
-    replacement swaps the automaton and the pump task while every
+    pid's *existing* mailbox (see :meth:`AsyncNetwork.register`): replica
+    replacement swaps the automaton and the consumer while every
     message already in flight to the object survives the swap.  The
     previous host must be stopped first.
     """
@@ -94,91 +100,53 @@ class ObjectHost:
         self.automaton = automaton
         self.pid = obj(automaton.object_index)
         self.network = network
-        self.inbox = network.register(self.pid)
+        network.register(self.pid)
         self._handle_batch = resolve_batch_handler(automaton)
-        self._task: Optional[asyncio.Task] = None
+        #: envelopes dropped because the automaton raised on them.
+        self.handler_errors = 0
 
     def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._loop())
+        self.network.attach(self.pid, self._serve)
 
-    async def _loop(self) -> None:
-        inbox = self.inbox
+    def _serve(self, burst: List[AsyncEnvelope]) -> None:
+        """One step: the whole burst through the automaton, then reply.
+
+        Replies to each client collect in one per-sender sink and go
+        back as a single ack envelope; the dict keeps first-seen sender
+        order, so receivers observe exactly the unbatched semantics.
+        """
         handle_batch = self._handle_batch
-        send = self.network.send
-        pid = self.pid
-        while True:
-            envelope = await inbox.get()
-            # Replies to each client collect in one per-sender sink; the
-            # whole sink goes back as a single ack envelope.  Insertion
-            # order of the dict preserves first-seen sender order, so
-            # receivers observe exactly the unbatched semantics.
-            sinks: Dict[ProcessId, Sink] = {}
-            leftovers: Outgoing = []
-            while True:
-                # Drain everything already queued before replying: one
-                # wakeup handles a whole burst (e.g. many clients' same
-                # round), and the replies coalesce across all of it --
-                # fewer envelopes, fewer downstream wakeups.
-                sender = envelope.sender
-                sink = sinks.get(sender)
-                if sink is None:
-                    sink = sinks[sender] = []
+        sinks: Dict[ProcessId, Sink] = {}
+        leftovers: Outgoing = []
+        for envelope in burst:
+            sender = envelope.sender
+            sink = sinks.get(sender)
+            if sink is None:
+                sink = sinks[sender] = []
+            answered = len(sink)
+            try:
                 leftovers.extend(
                     handle_batch(sender, unbatch(envelope.payload), sink)
                     or [])
-                try:
-                    envelope = inbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            for sender, sink in sinks.items():
-                if sink:
-                    send(pid, sender, as_frame(sink))
-            if leftovers:
-                for receiver, payload in coalesce_outgoing(leftovers):
-                    send(pid, receiver, payload)
+            except Exception as exc:
+                # One poisoned frame must not mute the replica: drop the
+                # envelope (and its half-built replies), keep serving.
+                del sink[answered:]
+                self.handler_errors += 1
+                report_error(
+                    f"object {self.pid!r} dropped an envelope from "
+                    f"{sender!r}: its handler raised", exc)
+        send = self.network.send
+        pid = self.pid
+        for sender, sink in sinks.items():
+            if sink:
+                send(pid, sender, as_frame(sink))
+        if leftovers:
+            for receiver, payload in coalesce_outgoing(leftovers):
+                send(pid, receiver, payload)
 
     def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
-
-
-class ClientHost:
-    """Drives client operations for one client process, one at a time."""
-
-    def __init__(self, pid: ProcessId, network: AsyncNetwork):
-        if not pid.is_client:
-            raise TransportError(f"{pid!r} is not a client process")
-        self.pid = pid
-        self.network = network
-        network.register(pid)
-
-    async def run(self, operation: ClientOperation,
-                  timeout: Optional[float] = None) -> Any:
-        """Invoke ``operation`` and pump replies until it completes."""
-        if operation.client_id != self.pid:
-            raise TransportError(
-                f"operation belongs to {operation.client_id!r}, "
-                f"host is {self.pid!r}")
-        for receiver, payload in operation.start() or []:
-            self.network.send(self.pid, receiver, payload)
-        inbox = self.network.inbox(self.pid)
-
-        async def pump() -> Any:
-            while not operation.done:
-                envelope = await inbox.get()
-                for part in unbatch(envelope.payload):
-                    outgoing = operation.on_message(envelope.sender, part)
-                    for receiver, payload in outgoing or []:
-                        self.network.send(self.pid, receiver, payload)
-            return operation.result
-
-        if operation.done:  # zero-communication completion
-            return operation.result
-        if timeout is None:
-            return await pump()
-        return await asyncio.wait_for(pump(), timeout)
+        self.network.detach(self.pid, self._serve)
 
 
 class _VectorGroup:
@@ -209,13 +177,13 @@ class _VectorGroup:
 class MuxClientHost:
     """One client process driving concurrent per-register operations.
 
-    A single pump task routes every inbound message to the pending
+    One mailbox consumer routes every inbound message to the pending
     operation of the register it addresses; operations on distinct
-    registers therefore proceed concurrently over one inbox, one socket
-    set, one process identity.  Outgoing message batches are coalesced
-    per destination object, and ``run_many`` batches are driven as
-    *vector rounds*: one :class:`Batch` frame per (replica, step)
-    carrying every member register's payload for that step.
+    registers therefore proceed concurrently over one mailbox, one
+    socket set, one process identity.  Outgoing message batches are
+    coalesced per destination object, and ``run_many`` batches are
+    driven as *vector rounds*: one :class:`Batch` frame per (replica,
+    step) carrying every member register's payload for that step.
     """
 
     def __init__(self, pid: ProcessId, network: AsyncNetwork,
@@ -224,7 +192,7 @@ class MuxClientHost:
                  history: Optional[History] = None):
         """``max_pending`` caps concurrently pending registers: admission
         beyond the cap raises :class:`~repro.errors.BackpressureError`
-        instead of letting thousands of registers starve one inbox.
+        instead of letting thousands of registers starve one mailbox.
         ``history`` (shared across the hosts of one store) records every
         operation's invocation/completion for the consistency checkers.
         """
@@ -242,29 +210,25 @@ class MuxClientHost:
         self._waiters: Dict[str, "asyncio.Future[Any]"] = {}
         #: register id -> the vector group driving that register (if any).
         self._vector: Dict[str, _VectorGroup] = {}
-        self._pump_task: Optional[asyncio.Task] = None
         #: fast-read efficacy counters, aggregated from completed reads
         #: (first slice of the observability roadmap item).
         self.fast_reads_taken = 0
         self.fast_read_fallbacks = 0
 
     # -- lifecycle ----------------------------------------------------------
-    def _ensure_pump(self) -> None:
-        if self._pump_task is None or self._pump_task.done():
-            self._pump_task = asyncio.get_running_loop().create_task(
-                self._pump())
+    def start(self) -> None:
+        """Attach to the mailbox (``run``/``run_many`` do it on demand)."""
+        self.network.attach(self.pid, self._pump)
 
     def stop(self) -> None:
-        """Cancel the pump and fail every blocked waiter.
+        """Detach from the mailbox and fail every blocked waiter.
 
         Without the eviction a caller awaiting an in-flight operation
-        would hang forever once the pump is gone; failing fast with a
-        :class:`TransportError` turns a lifecycle bug into a visible
-        error at the call site.
+        would hang forever once nothing consumes its replies; failing
+        fast with a :class:`TransportError` turns a lifecycle bug into a
+        visible error at the call site.
         """
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            self._pump_task = None
+        self.network.detach(self.pid, self._pump)
         if self._pending or self._vector:
             error = TransportError(
                 f"client host {self.pid!r} stopped with operations "
@@ -495,7 +459,7 @@ class MuxClientHost:
             # admitted members: withdraw them or their registers would
             # refuse all later work with BusyRegisterError.  Their
             # invocation records stay -- the operations were genuinely
-            # invoked and lost, exactly as on a pump dispatch failure.
+            # invoked and lost, exactly as on a dispatch failure in _pump.
             for operation in operations:
                 if not operation.done:
                     register_id = operation.register_id
@@ -523,70 +487,66 @@ class MuxClientHost:
                     if self._vector.get(register_id) is group:
                         del self._vector[register_id]
 
-    async def _pump(self) -> None:
-        inbox = self.network.inbox(self.pid)
+    def _pump(self, burst: List[AsyncEnvelope]) -> None:
+        """One step: route the whole burst, then send what it produced.
+
+        The burst's outgoing is aggregated before dispatching: batched
+        acks (N registers' round-1 replies from several objects, served
+        in one step) yield N coalesced round-2 broadcasts -- S
+        envelopes, not N x S.
+        """
         pending = self._pending
         vector = self._vector
-        while True:
-            envelope = await inbox.get()
-            # Aggregate the whole burst's outgoing before dispatching:
-            # batched acks (N registers' round-1 replies from several
-            # objects, drained in one wakeup) yield N coalesced round-2
-            # broadcasts -- S envelopes, not N x S.
-            outgoing: Outgoing = []
-            settled: List[Tuple[str, ClientOperation]] = []
-            touched: List[_VectorGroup] = []
-            while True:
-                sender = envelope.sender
-                for part in unbatch(envelope.payload):
-                    # register_of() inlined: this getattr runs once per
-                    # inbound part, the hottest line of the service tier.
-                    register_id = getattr(part, "register_id",
-                                          DEFAULT_REGISTER)
-                    operation = pending.get(register_id)
-                    if operation is None or operation.done:
-                        continue  # stale traffic for a finished operation
-                    group = vector.get(register_id)
-                    if group is not None:
-                        # Vector path: record now, decide at burst end.
-                        try:
-                            operation.absorb(sender, part)
-                        except Exception as exc:
-                            self._fail_vector(group, exc)
-                            continue
-                        if not getattr(operation, "_vector_dirty", False):
-                            operation._vector_dirty = True
-                            group.dirty.append(operation)
-                            if len(group.dirty) == 1:
-                                touched.append(group)
-                        continue
+        outgoing: Outgoing = []
+        settled: List[Tuple[str, ClientOperation]] = []
+        touched: List[_VectorGroup] = []
+        for envelope in burst:
+            sender = envelope.sender
+            for part in unbatch(envelope.payload):
+                # register_of() inlined: this getattr runs once per
+                # inbound part, the hottest line of the service tier.
+                register_id = getattr(part, "register_id",
+                                      DEFAULT_REGISTER)
+                operation = pending.get(register_id)
+                if operation is None or operation.done:
+                    continue  # stale traffic for a finished operation
+                group = vector.get(register_id)
+                if group is not None:
+                    # Vector path: record now, decide at burst end.
                     try:
-                        outgoing.extend(
-                            operation.on_message(sender, part)
-                            or [])
+                        operation.absorb(sender, part)
                     except Exception as exc:
-                        # A broken operation must not kill the pump (it
-                        # serves every other register) nor hang its
-                        # caller: fail its waiter and drop it.
-                        self._evict(operation, exc)
+                        self._fail_vector(group, exc)
                         continue
-                    if operation.done:
-                        settled.append((register_id, operation))
+                    if not getattr(operation, "_vector_dirty", False):
+                        operation._vector_dirty = True
+                        group.dirty.append(operation)
+                        if len(group.dirty) == 1:
+                            touched.append(group)
+                    continue
                 try:
-                    envelope = inbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            for group in touched:
-                self._advance_vector(group)
-            try:
-                self._dispatch(outgoing)
-            except Exception as exc:
-                # Undeliverable sends lose messages for an unknowable subset
-                # of operations; failing every blocked waiter beats hanging.
-                for operation in list(self._pending.values()):
+                    outgoing.extend(
+                        operation.on_message(sender, part)
+                        or [])
+                except Exception as exc:
+                    # A broken operation must not stop the consumer (it
+                    # serves every other register) nor hang its caller:
+                    # fail its waiter and drop it.
                     self._evict(operation, exc)
-            for register_id, operation in settled:
-                self._settle(register_id, operation)
+                    continue
+                if operation.done:
+                    settled.append((register_id, operation))
+        for group in touched:
+            self._advance_vector(group)
+        try:
+            self._dispatch(outgoing)
+        except Exception as exc:
+            # Undeliverable sends lose messages for an unknowable subset
+            # of operations; failing every blocked waiter beats hanging.
+            for operation in list(self._pending.values()):
+                self._evict(operation, exc)
+        for register_id, operation in settled:
+            self._settle(register_id, operation)
 
     # -- operations ----------------------------------------------------------
     async def run(self, operation: ClientOperation,
@@ -599,7 +559,7 @@ class MuxClientHost:
         records, and recording the duplicate would distort the checkers'
         write serialization.
         """
-        self._ensure_pump()
+        self.start()
         future = self._admit(operation, record=record)
         self._dispatch(operation.start() or [])
         if operation.done:  # zero-communication completion
@@ -627,10 +587,10 @@ class MuxClientHost:
         advances once per burst with its quorum conditions evaluated
         over the whole burst's evidence.  Operations that do not expose
         a ``config`` (the broadcast width) fall back to the classic
-        per-operation pump with first-round coalescing.
+        per-operation path with first-round coalescing.
         """
         operations = list(operations)
-        self._ensure_pump()
+        self.start()
         if self.batching and len(operations) > 1 and operations:
             num_objects = getattr(
                 getattr(operations[0], "config", None), "num_objects", None)

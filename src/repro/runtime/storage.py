@@ -23,7 +23,7 @@ from ..config import SystemConfig
 from ..errors import TransportError
 from ..protocols import StorageProtocol
 from ..types import DEFAULT_REGISTER, ProcessId, WRITER, obj, reader
-from .hosts import ClientHost, ObjectHost
+from .hosts import MuxClientHost, ObjectHost
 from .memnet import AsyncNetwork
 
 
@@ -48,8 +48,8 @@ class AsyncStorage:
             self._states.reader(reader_index=j)
             for j in range(config.num_readers)
         ]
-        self._writer_host = ClientHost(WRITER, self.network)
-        self._reader_hosts = [ClientHost(reader(j), self.network)
+        self._writer_host = MuxClientHost(WRITER, self.network)
+        self._reader_hosts = [MuxClientHost(reader(j), self.network)
                               for j in range(config.num_readers)]
         self._client_locks: Dict[ProcessId, asyncio.Lock] = {}
         self._started = False
@@ -63,7 +63,8 @@ class AsyncStorage:
         return self
 
     async def stop(self) -> None:
-        for host in self._object_hosts:
+        for host in (*self._object_hosts, self._writer_host,
+                     *self._reader_hosts):
             host.stop()
         self._started = False
 

@@ -555,7 +555,7 @@ class _ChildLink:
 class ProcNetwork(AsyncNetwork):
     """The in-memory network's interface over real replica sockets.
 
-    Client pids keep ordinary in-memory inboxes (client hosts are
+    Client pids keep ordinary in-memory mailboxes (client hosts are
     unchanged); sends *to object pids* are encoded once and queued on
     the sender's :class:`_ChildLink` to the child hosting the object.
     Port lookups go through the supervisor on every (re)connect, so a
@@ -586,9 +586,9 @@ class ProcNetwork(AsyncNetwork):
                       message: Any) -> None:
         if receiver in self._crashed:
             return
-        inbox = self._inboxes.get(receiver)
-        if inbox is not None:
-            inbox.put_nowait(AsyncEnvelope(sender, receiver, message))
+        mailbox = self._mailboxes.get(receiver)
+        if mailbox is not None:
+            self._post(mailbox, AsyncEnvelope(sender, receiver, message))
 
     def send(self, sender: ProcessId, receiver: ProcessId,
              payload: Any) -> None:

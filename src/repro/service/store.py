@@ -2,14 +2,13 @@
 
 :class:`MultiRegisterStore` is the paper's deployment done right at
 scale: a *fixed* set of ``S`` commodity base objects (one
-:class:`~repro.runtime.hosts.ObjectHost` task each) serves arbitrarily
+:class:`~repro.runtime.hosts.ObjectHost` each) serves arbitrarily
 many registers -- SWMR by default, MWMR when the config declares several
 writers (each writer gets its own multiplexed client host and the
 protocols arbitrate with ``(epoch, writer_id)`` tags).  Contrast with one
-:class:`~repro.runtime.storage.AsyncStorage` per key, which spawns ``S``
-object tasks, ``S`` queues and a client host *per register* -- at 10k
-keys that is 40k+ asyncio tasks doing the work these same ``S`` tasks do
-here.
+:class:`~repro.runtime.storage.AsyncStorage` per key, which builds ``S``
+object hosts, ``S`` mailboxes and a client host *per register* -- at 10k
+keys that is 40k+ hosts doing the work these same ``S`` hosts do here.
 
 Per-register protocol state lives in the object automata's register
 slots (server side) and in lazily created writer/reader states (client
@@ -102,8 +101,8 @@ class MultiRegisterStore:
         """The host of writer ``writer_index`` (created lazily).
 
         Lazy creation is gated on the store being started: a host
-        created after ``stop()`` would spawn a pump task nothing ever
-        cancels again.
+        created after ``stop()`` would attach a consumer nothing ever
+        detaches again.
         """
         self._require_started()
         if not 0 <= writer_index < self.config.num_writers:
@@ -143,7 +142,7 @@ class MultiRegisterStore:
         if not self._started:
             return  # idempotent: a second stop must not touch fresh hosts
         # Flip the flag first so concurrent writers cannot lazily create
-        # a host (and its pump task) between the sweep and the return.
+        # a host (and attach it) between the sweep and the return.
         self._started = False
         for host in self._object_hosts:
             host.stop()
@@ -395,10 +394,10 @@ class MultiRegisterStore:
                        automaton: ObjectAutomaton) -> None:
         """Replace one replica's automaton (affects all registers at once).
 
-        The replacement host takes over the replica's existing inbox
-        (:meth:`~repro.runtime.memnet.AsyncNetwork.register` hands the
-        queue over), so messages in flight to the replica survive the
-        swap; the old pump is stopped before the new host binds.
+        The replacement host takes over the replica's existing mailbox
+        (:meth:`~repro.runtime.memnet.AsyncNetwork.register` hands it
+        over), so messages in flight to the replica survive the swap;
+        the old host detaches before the new one attaches.
         """
         self._object_hosts[index].stop()
         host = ObjectHost(automaton, self.network)

@@ -316,7 +316,14 @@ async def _start_child(supervisor, group, automata, **kwargs):
 
 
 async def _acks(inbox, count):
-    return [await asyncio.wait_for(inbox.get(), 5) for _ in range(count)]
+    """Take ``count`` envelopes parked in a consumer-less mailbox."""
+    async def parked():
+        while inbox.qsize() < count:
+            await asyncio.sleep(0.001)
+    await asyncio.wait_for(parked(), 5)
+    acks = inbox.mail[:count]
+    del inbox.mail[:count]
+    return acks
 
 
 class TestChildLink:

@@ -1,152 +1,68 @@
-"""Unit tests for the asyncio in-memory network and hosts."""
+"""Unit tests for the client host's admission and completion rules.
+
+The delivery seam itself (mailboxes, consumers, the flush) is covered in
+``tests/test_mailbox.py``.
+"""
 
 import asyncio
 
 import pytest
 
-from repro.automata.base import ObjectAutomaton
+from repro.automata.base import ClientOperation
 from repro.errors import TransportError
-from repro.runtime.hosts import ClientHost, ObjectHost
+from repro.runtime.hosts import MuxClientHost
 from repro.runtime.memnet import AsyncNetwork
-from repro.types import WRITER, obj, reader
+from repro.types import obj, reader
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-class Echo(ObjectAutomaton):
+class Silent(ClientOperation):
+    """Sends nothing and never completes on its own."""
+
+    kind = "READ"
+
+    def start(self):
+        return []
+
     def on_message(self, sender, message):
-        return [(sender, ("echo", message))]
+        return []
 
 
-class TestAsyncNetwork:
-    def test_send_receive_immediate(self):
+class Instant(Silent):
+    def start(self):
+        self.complete("now")
+        return []
+
+
+class TestMuxClientHost:
+    def test_rejects_object_pids(self):
+        with pytest.raises(TransportError):
+            MuxClientHost(obj(0), AsyncNetwork())
+
+    def test_rejects_foreign_operation(self):
         async def scenario():
-            net = AsyncNetwork()
-            net.register(reader(0))
-            net.send(WRITER, reader(0), "hi")
-            envelope = await net.inbox(reader(0)).get()
-            return envelope.sender, envelope.payload
-
-        assert run(scenario()) == (WRITER, "hi")
-
-    def test_unregistered_inbox_rejected(self):
-        async def scenario():
-            net = AsyncNetwork()
+            host = MuxClientHost(reader(0), AsyncNetwork())
             with pytest.raises(TransportError):
-                net.inbox(reader(5))
+                await host.run(Silent(reader(1)))
 
         run(scenario())
 
-    def test_crashed_receiver_black_holed(self):
+    def test_timeout_withdraws_the_operation(self):
         async def scenario():
-            net = AsyncNetwork()
-            net.register(reader(0))
-            net.crash(reader(0))
-            net.send(WRITER, reader(0), "lost")
-            return net.inbox(reader(0)).qsize()
-
-        assert run(scenario()) == 0
-
-    def test_jitter_delivers_eventually_and_counts(self):
-        async def scenario():
-            net = AsyncNetwork(jitter=0.005, seed=1)
-            net.register(reader(0))
-            for n in range(5):
-                net.send(WRITER, reader(0), n)
-            payloads = set()
-            for _ in range(5):
-                envelope = await asyncio.wait_for(
-                    net.inbox(reader(0)).get(), timeout=2)
-                payloads.add(envelope.payload)
-            await net.drain()
-            return payloads, net.messages_sent
-
-        payloads, sent = run(scenario())
-        assert payloads == {0, 1, 2, 3, 4}
-        assert sent == 5
-
-
-class TestHosts:
-    def test_object_host_processes_inbox(self):
-        async def scenario():
-            net = AsyncNetwork()
-            host = ObjectHost(Echo(0), net)
-            net.register(reader(0))
-            host.start()
-            net.send(reader(0), obj(0), "ping")
-            envelope = await asyncio.wait_for(net.inbox(reader(0)).get(),
-                                              timeout=2)
-            host.stop()
-            return envelope.payload
-
-        assert run(scenario()) == ("echo", "ping")
-
-    def test_client_host_rejects_objects(self):
-        async def scenario():
-            net = AsyncNetwork()
-            with pytest.raises(TransportError):
-                ClientHost(obj(0), net)
-
-        run(scenario())
-
-    def test_client_host_rejects_foreign_operation(self):
-        from repro.automata.base import ClientOperation
-
-        class Op(ClientOperation):
-            kind = "READ"
-
-            def start(self):
-                return []
-
-            def on_message(self, sender, message):
-                return []
-
-        async def scenario():
-            net = AsyncNetwork()
-            host = ClientHost(reader(0), net)
-            with pytest.raises(TransportError):
-                await host.run(Op(reader(1)))
-
-        run(scenario())
-
-    def test_client_host_timeout(self):
-        from repro.automata.base import ClientOperation
-
-        class NeverDone(ClientOperation):
-            kind = "READ"
-
-            def start(self):
-                return []
-
-            def on_message(self, sender, message):
-                return []
-
-        async def scenario():
-            net = AsyncNetwork()
-            host = ClientHost(reader(0), net)
+            host = MuxClientHost(reader(0), AsyncNetwork())
             with pytest.raises(asyncio.TimeoutError):
-                await host.run(NeverDone(reader(0)), timeout=0.05)
+                await host.run(Silent(reader(0)), timeout=0.05)
+            # the register is free again
+            return await host.run(Instant(reader(0)), timeout=1)
 
-        run(scenario())
+        assert run(scenario()) == "now"
 
     def test_zero_communication_completion(self):
-        from repro.automata.base import ClientOperation
-
-        class Instant(ClientOperation):
-            kind = "READ"
-
-            def start(self):
-                self.complete("now")
-                return []
-
-            def on_message(self, sender, message):
-                return []
-
         async def scenario():
-            net = AsyncNetwork()
-            host = ClientHost(reader(0), net)
+            host = MuxClientHost(reader(0), AsyncNetwork())
             return await host.run(Instant(reader(0)), timeout=1)
 
         assert run(scenario()) == "now"
