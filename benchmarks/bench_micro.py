@@ -6,82 +6,23 @@ protocol paths so optimization work (or regressions) show up in numbers:
 * kernel message throughput (deliveries/second);
 * object automaton handler cost;
 * candidate-tracker predicate evaluation with many candidates;
-* wire-codec encode/decode throughput, JSON vs binary, including the
-  regression tripwire that binary must beat JSON on a representative
-  frame corpus;
+* wire-codec encode/decode throughput;
 * the vector round engine (batched multi-key writes+reads end to end).
 """
 
 import asyncio
-import time
-
-import pytest
 
 from repro.config import SystemConfig
 from repro.core.regular import CachedRegularStorageProtocol
 from repro.core.safe import SafeStorageProtocol
 from repro.core.safe.object import SafeObject
 from repro.core.safe.predicates import CandidateTracker
-from repro.messages import (Batch, HistoryReadAck, HistoryEntry, Pw,
-                            ReadRequest, PwAck, WriteAck)
-from repro.runtime import decode_message, encode_message
+from repro.messages import HistoryReadAck, HistoryEntry, ReadRequest
 from repro.runtime.codec import (decode_message_binary,
                                  encode_message_binary)
 from repro.service import MultiRegisterStore
 from repro.system import StorageSystem
-from repro.types import (TAG0, INITIAL_TSVAL, TimestampValue, TsrArray,
-                         WRITER, WriterTag, WriteTuple,
-                         initial_write_tuple, reader)
-
-
-def codec_corpus():
-    """Frames representative of the service tier's hot wire traffic:
-    write-round batches, their ack batches, and history read acks."""
-    w0 = initial_write_tuple(4, 1)
-    arr6 = TsrArray.empty(6, 2)
-    history = {
-        WriterTag(ts, 0): HistoryEntry(
-            pw=TimestampValue(ts, f"v{ts}"),
-            w=WriteTuple(TimestampValue(ts, f"v{ts}"), arr6))
-        for ts in range(1, 51)
-    }
-    return [
-        Pw(ts=3, pw=TimestampValue(3, "value-key:123"), w=w0,
-           register_id="key:123"),
-        PwAck(ts=3, object_index=2, tsr=(7,), register_id="key:123"),
-        WriteAck(ts=3, object_index=2, register_id="key:123"),
-        ReadRequest(round_index=1, tsr=9, reader_index=0,
-                    register_id="key:123"),
-        HistoryReadAck(round_index=1, tsr=3, object_index=0,
-                       history=history),
-        Batch(messages=tuple(
-            Pw(ts=2, pw=TimestampValue(2, f"value-key:{i}"), w=w0,
-               register_id=f"key:{i}")
-            for i in range(64))),
-        Batch(messages=tuple(
-            HistoryReadAck(
-                round_index=1, tsr=9, object_index=1,
-                history={
-                    TAG0: HistoryEntry(pw=INITIAL_TSVAL, w=w0),
-                    WriterTag(3, 0): HistoryEntry(
-                        pw=TimestampValue(3, f"value-key:{i}"),
-                        w=WriteTuple(TimestampValue(3, f"value-key:{i}"),
-                                     TsrArray.empty(4, 1)))},
-                register_id=f"key:{i}")
-            for i in range(64))),
-    ]
-
-
-def time_codec(encode, decode, corpus, repeats: int = 200) -> float:
-    """Total encode+decode seconds over ``repeats`` corpus passes."""
-    wires = [encode(message) for message in corpus]
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for message in corpus:
-            encode(message)
-        for wire in wires:
-            decode(wire)
-    return time.perf_counter() - started
+from repro.types import TimestampValue, TsrArray, WriteTuple, reader
 
 
 def test_kernel_throughput(benchmark):
@@ -135,26 +76,8 @@ def test_candidate_tracker_cost(benchmark):
     assert result is None or result.ts >= 1
 
 
-def test_codec_throughput(benchmark):
-    """Encode+decode of a 50-entry history ack (JSON, legacy format)."""
-    arr = TsrArray.empty(6, 2)
-    history = {
-        ts: HistoryEntry(pw=TimestampValue(ts, f"v{ts}"),
-                         w=WriteTuple(TimestampValue(ts, f"v{ts}"), arr))
-        for ts in range(1, 51)
-    }
-    ack = HistoryReadAck(round_index=1, tsr=3, object_index=0,
-                         history=history)
-
-    def roundtrip():
-        return decode_message(encode_message(ack))
-
-    decoded = benchmark(roundtrip)
-    assert decoded == ack
-
-
 def test_binary_codec_throughput(benchmark):
-    """Encode+decode of the same 50-entry history ack, binary format."""
+    """Encode+decode of a 50-entry history ack."""
     arr = TsrArray.empty(6, 2)
     history = {
         ts: HistoryEntry(pw=TimestampValue(ts, f"v{ts}"),
@@ -169,24 +92,6 @@ def test_binary_codec_throughput(benchmark):
 
     decoded = benchmark(roundtrip)
     assert decoded == ack
-
-
-def test_binary_codec_beats_json_on_corpus():
-    """CI tripwire: binary encode+decode must beat JSON on the frame
-    corpus.  Deliberately loose (CI machines are noisy); the measured
-    ratio on a quiet machine is recorded in BENCH_service.json by
-    ``bench_service.py`` (>= 3x there)."""
-    corpus = codec_corpus()
-    for message in corpus:  # correctness before speed
-        assert decode_message_binary(encode_message_binary(message)) \
-            == message
-    json_s = time_codec(encode_message, decode_message, corpus,
-                        repeats=60)
-    binary_s = time_codec(encode_message_binary, decode_message_binary,
-                          corpus, repeats=60)
-    assert binary_s < json_s, (
-        f"binary codec regressed below JSON: {binary_s:.3f}s vs "
-        f"{json_s:.3f}s on the corpus")
 
 
 def test_vector_round_engine(benchmark):

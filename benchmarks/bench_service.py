@@ -654,32 +654,6 @@ def bench(num_keys: int, repeats: int = 7) -> Dict[str, Any]:
     }
 
 
-def bench_codec(repeats: int = 120) -> Dict[str, Any]:
-    """Binary vs JSON codec on the bench_micro frame corpus."""
-    import sys as _sys
-    from pathlib import Path
-    _sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench_micro import codec_corpus, time_codec
-    from repro.runtime.codec import (decode_message_binary,
-                                     encode_message_binary)
-    from repro.runtime import decode_message, encode_message
-    corpus = codec_corpus()
-    json_s = min(time_codec(encode_message, decode_message, corpus,
-                            repeats=repeats) for _ in range(3))
-    binary_s = min(time_codec(encode_message_binary,
-                              decode_message_binary, corpus,
-                              repeats=repeats) for _ in range(3))
-    row = {
-        "json_s": round(json_s, 4),
-        "binary_s": round(binary_s, 4),
-        "speedup": round(json_s / binary_s, 2),
-        "corpus": "bench_micro.codec_corpus (write/ack/history frames)",
-    }
-    print(f"  codec corpus | json {json_s:.3f}s | binary {binary_s:.3f}s "
-          f"| {row['speedup']:.2f}x")
-    return row
-
-
 #: PR-4's recorded multiplexed throughput at 256 keys (ops/s), the
 #: baseline the vector round engine is gated against (>= 1.5x).
 PR4_MULTIPLEXED_OPS_256 = 13625.7
@@ -787,7 +761,6 @@ def main(argv: List[str] = None) -> int:
         results = [bench_smoke(size) for size in sizes]
     else:
         results = [bench(size, repeats=7) for size in sizes]
-    codec = bench_codec(repeats=30 if args.smoke else 120)
     # Reshard-under-load and snapshot-reads-under-load run in every mode
     # (smoke included): the CI tripwires for reconfiguration and
     # cross-shard snapshot-consistency regressions.
@@ -827,7 +800,6 @@ def main(argv: List[str] = None) -> int:
                     "key, then read each key once",
         "smoke": args.smoke,
         "results": results,
-        "codec_microbench": codec,
         "reshard_under_load": reshard,
         "snapshot_reads_under_load": snapshots,
         "read_heavy_fast_reads": read_heavy,
@@ -836,8 +808,7 @@ def main(argv: List[str] = None) -> int:
         "claim": f"multiplexed >= {gate}x per-key baseline at "
                  f"{gate_keys} keys; multiplexed at 256 keys >= 1.5x "
                  f"the PR-4 recording ({PR4_MULTIPLEXED_OPS_256:.0f} "
-                 "op/s); binary codec beats JSON on the frame corpus; "
-                 "reshard 2->3 completes under load with no lost "
+                 "op/s); reshard 2->3 completes under load with no lost "
                  "reads; cross-shard snapshots certify consistent cuts "
                  "under mixed writers; batched rounds send fewer "
                  "envelopes than unbatched; multiproc serving stays "
@@ -851,8 +822,7 @@ def main(argv: List[str] = None) -> int:
         "speedup_vs_pr4": (round(vs_pr4, 2)
                            if vs_pr4 is not None else None),
         "ok": (gated["speedup"] >= gate and reshard["ok"]
-               and snapshots["ok"] and codec["speedup"] > 1.0
-               and multiproc["ok"] and ack["ok"] and read_heavy["ok"]
+               and snapshots["ok"] and multiproc["ok"] and ack["ok"] and read_heavy["ok"]
                and (vs_pr4 is None or vs_pr4 >= 1.5)),
     }
     with open(args.output, "w") as fh:
@@ -860,7 +830,7 @@ def main(argv: List[str] = None) -> int:
     print(f"wrote {args.output}; speedup at {gate_keys} keys: "
           f"{gated['speedup']:.1f}x"
           + (f"; vs PR-4: {vs_pr4:.2f}x" if vs_pr4 is not None else "")
-          + f"; codec {codec['speedup']:.2f}x; reshard "
+          + f"; reshard "
           f"{'OK' if reshard['ok'] else 'FAIL'}; snapshots "
           f"{'OK' if snapshots['ok'] else 'FAIL'}; fast reads "
           f"{read_heavy['uncontended']['fast_speedup']:.2f}x "

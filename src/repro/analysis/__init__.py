@@ -11,8 +11,8 @@ general case for mechanically checking protocol-implementation parity):
   blocking-call-in-async lint (``os.fsync``, ``time.sleep``, file
   ``flush``, synchronous subprocess/socket work on an event loop);
 * :mod:`.rules_registry` -- message/codec/automata exhaustiveness:
-  every :class:`~repro.messages.Message` subclass is slotted, the JSON
-  and binary wire vocabularies agree, kind bytes are unique and stable,
+  every :class:`~repro.messages.Message` subclass is slotted and has a
+  wire codec, kind bytes are unique and stable,
   and batch fast paths are only reached through
   :func:`~repro.automata.base.resolve_batch_handler`;
 * :mod:`.rules_determinism` -- SimKernel-reachable modules must stay

@@ -11,11 +11,11 @@ honest:
     typo'd attributes pass unnoticed.
 
 ``registry-vocab`` (dynamic, whole project)
-    Imports the live package and checks that the JSON vocabulary
-    (``_ENCODERS``/``_DECODERS``), the binary vocabulary
-    (``_BIN_KINDS``), and the set of concrete ``Message`` subclasses all
-    agree: every subclass encodes both ways, every kind byte is unique,
-    and nothing is registered for a type that is not a ``Message``.
+    Imports the live package and checks that the wire codec's
+    vocabulary (``_BIN_KINDS``) and the set of concrete ``Message``
+    subclasses agree: every subclass has a binary codec, every kind byte
+    is unique, and nothing is registered for a type that is not a
+    ``Message``.
     Classes that only travel *inside* another message's payload (for
     example ``HistoryEntry`` inside ``HistoryReadAck``) opt out with a
     class attribute ``wire_inline = True``.
@@ -225,8 +225,6 @@ class _ProjectAnchors:
 def vocab_findings(
     rule_id: str,
     universe: Iterable[type],
-    json_encoder_types: Iterable[type],
-    json_decoder_names: Iterable[str],
     bin_kinds: dict[type, int],
     anchor: Callable[[type], tuple[str, int] | None],
 ) -> list[Finding]:
@@ -239,8 +237,6 @@ def vocab_findings(
         if at is not None:
             findings.append(Finding(rule_id=rule_id, path=at[0], line=at[1], message=message))
 
-    enc_types = set(json_encoder_types)
-    dec_names = set(json_decoder_names)
     wire_types = {
         cls
         for cls in universe
@@ -248,19 +244,13 @@ def vocab_findings(
     }
 
     for cls in sorted(wire_types, key=lambda c: c.__name__):
-        missing = []
-        if cls not in enc_types:
-            missing.append("JSON encoder (register_codec)")
-        if cls.__name__ not in dec_names:
-            missing.append("JSON decoder (register_codec)")
         if cls not in bin_kinds:
-            missing.append("binary codec (register_binary_codec)")
-        if missing:
             emit(
                 cls,
-                f"message class '{cls.__name__}' is missing: {', '.join(missing)}; "
-                "every wire message must round-trip through both vocabularies "
-                "(mark payload-only classes with wire_inline = True)",
+                f"message class '{cls.__name__}' has no binary codec "
+                "(register_binary_codec); every wire message must round-trip "
+                "through the codec (mark payload-only classes with "
+                "wire_inline = True)",
             )
 
     by_kind: dict[int, list[type]] = {}
@@ -273,11 +263,11 @@ def vocab_findings(
                 emit(cls, f"binary kind byte {kind} is bound to multiple types: {names}")
 
     universe_set = set(universe)
-    for cls in sorted(enc_types | set(bin_kinds), key=lambda c: c.__name__):
+    for cls in sorted(bin_kinds, key=lambda c: c.__name__):
         if cls not in universe_set:
             emit(
                 cls,
-                f"'{cls.__name__}' is registered in a wire vocabulary but is not "
+                f"'{cls.__name__}' is registered in the wire codec but is not "
                 "a Message subclass",
             )
     return findings
@@ -351,7 +341,7 @@ def _load_live_package() -> tuple[Any, Any, Any] | None:
 @register_rule
 class RegistryVocabRule:
     rule_id = "registry-vocab"
-    description = "JSON/binary codec vocabulary parity with Message subclasses"
+    description = "wire codec vocabulary parity with Message subclasses"
 
     def check_project(self, sources: list[SourceFile]) -> list[Finding]:
         loaded = _load_live_package()
@@ -362,8 +352,6 @@ class RegistryVocabRule:
         return vocab_findings(
             self.rule_id,
             _live_subclasses(messages.Message),
-            codec._ENCODERS.keys(),
-            codec._DECODERS.keys(),
             dict(codec._BIN_KINDS),
             anchors.anchor,
         )

@@ -32,7 +32,7 @@ class AbdStore(Message):
     store: epoch fences (reconfiguration) refuse stale writer stores but
     let write-backs through -- a write-back only re-installs a tag that
     already exists at a quorum, so it cannot smuggle a new write past a
-    fence.  Legacy frames omit the flag and decode as writer stores.
+    fence.
     """
 
     tsval: TimestampValue

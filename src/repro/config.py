@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from .errors import ConfigurationError, ResilienceError
-from .types import ProcessId, WRITER, obj, reader, writer
+from .types import ProcessId, obj, reader, writer
 
 
 def optimal_resilience(t: int, b: int) -> int:
@@ -60,11 +60,6 @@ class SystemConfig:
     num_objects: int
     num_readers: int = 1
     num_writers: int = 1
-    #: Serialization of the socket transports: ``"binary"`` (the fast
-    #: struct-packed framing) or ``"json"`` (the legacy line format).
-    #: Inbound frames of either format always decode -- this selects
-    #: what *this* system emits.
-    wire_format: str = "binary"
     #: Where base objects run: ``"inproc"`` (asyncio tasks on the
     #: in-memory network -- the historical deployment) or
     #: ``"multiproc"`` (each replica / shard group is a child OS
@@ -79,10 +74,6 @@ class SystemConfig:
     wal_fsync: str = "batch"
 
     def __post_init__(self) -> None:
-        if self.wire_format not in ("binary", "json"):
-            raise ConfigurationError(
-                f"unknown wire format {self.wire_format!r}; "
-                f"expected 'binary' or 'json'")
         if self.deployment not in ("inproc", "multiproc"):
             raise ConfigurationError(
                 f"unknown deployment {self.deployment!r}; "

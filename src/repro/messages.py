@@ -63,8 +63,8 @@ class Message:
     """Base class of every protocol payload.
 
     Subclasses are frozen dataclasses; the simulator treats payloads as
-    opaque immutable values.  ``kind`` is a stable wire-format name used in
-    traces and by the asyncio JSON transport.  The base declares empty
+    opaque immutable values.  ``kind`` is a stable name used in traces.
+    The base declares empty
     ``__slots__`` so subclasses may opt into slotted layouts (histories
     ship millions of :class:`HistoryEntry` instances).
 
@@ -109,8 +109,8 @@ class Pw(Message):
 
     Carries the *new* timestamp-value pair ``pw`` and the *previous* write's
     tuple ``w`` (so even objects that missed the previous W round learn it).
-    ``wid`` is the writer id of the MWMR tag ``(ts, wid)``; legacy frames
-    omit it and decode as writer 0.
+    ``wid`` is the writer id of the MWMR tag ``(ts, wid)``; writer 0 is
+    the single-writer case.
     """
 
     ts: int

@@ -5,14 +5,12 @@ Two tiers:
 * :class:`AsyncStorage` on the in-memory :class:`AsyncNetwork` (fast,
   optional seeded jitter);
 * :class:`TcpObjectServer` / :class:`TcpStorageClient` over localhost TCP
-  with the JSON wire codec (integration tier).
+  with the binary wire codec (integration tier).
 
 :mod:`repro.runtime.wal` adds per-replica durability (write-ahead log +
 snapshots of raw binary wire frames) for the multiproc deployment.
 """
 
-from .codec import (decode_message, decode_value, encode_message,
-                    encode_value, register_codec)
 from .hosts import MuxClientHost, ObjectHost, coalesce_outgoing
 from .memnet import AsyncEnvelope, AsyncNetwork
 from .storage import AsyncStorage
@@ -33,9 +31,4 @@ __all__ = [
     "coalesce_outgoing",
     "TcpObjectServer",
     "TcpStorageClient",
-    "encode_message",
-    "decode_message",
-    "encode_value",
-    "decode_value",
-    "register_codec",
 ]

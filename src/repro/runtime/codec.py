@@ -1,413 +1,34 @@
-"""Wire codecs: JSON (legacy) and binary encodings of every message.
+"""Wire codec: the binary encoding of every message.
 
 The deterministic simulator passes Python objects by reference; the TCP
-transport needs real serialization.  Two codecs are total over the
-message vocabulary of :mod:`repro.messages`, the baseline messages, and
-payload values that are JSON scalars, ``bytes`` or ``⊥``:
+transport and the write-ahead log need real serialization.
+:func:`encode_message_binary` / :func:`decode_message_binary` are total
+over the message vocabulary of :mod:`repro.messages`, the baseline
+messages, and payload values that are scalars, ``bytes`` or ``⊥``:
+length-delimited, ``struct``-packed fixed fields behind a one-byte kind,
+and a per-frame shared string table for register ids.
 
-* the **JSON codec** (:func:`encode_message` / :func:`decode_message`) --
-  the original line-oriented format, kept decodable forever for
-  compatibility with recorded frames and old peers;
-* the **binary codec** (:func:`encode_message_binary` /
-  :func:`decode_message_binary`) -- length-delimited, ``struct``-packed
-  type tags, varint integers and a per-frame shared string table for
-  register ids, selected by ``SystemConfig.wire_format`` and used by the
-  TCP tier by default.
-
-A binary frame always starts with :data:`BINARY_MAGIC` (which can never
-open a JSON document), so :func:`decode_message_auto` and the TCP framers
-detect the format per frame -- mixed-format peers interoperate on one
-connection.
-
-Encoding is structural and versioned by type tags, so a decoded message
-is ``==`` to the original (all message types are frozen dataclasses).
+Every frame starts with :data:`BINARY_MAGIC`; the TCP framers reject a
+frame that does not.  Encoding is structural and versioned by kind
+bytes, so a decoded message is ``==`` to the original (all message types
+are frozen dataclasses).
 """
 
 from __future__ import annotations
 
-import base64
 import functools
-import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from ..errors import TransportError
 from ..messages import (Batch, EpochFence, EpochFenceAck, HistoryEntry,
                         HistoryReadAck, LeaseProbe, LeaseProbeAck,
                         Pw, PwAck, ReadAck, ReadRequest,
                         TagQuery, TagQueryAck, W, WriteAck, WriteFenced)
-from ..types import (BOTTOM, DEFAULT_REGISTER, INITIAL_TSVAL,
-                     TimestampValue, TsrArray, WriterTag, WriteTuple,
-                     _Bottom, as_tag, intern_write_tuple)
+from ..types import (BOTTOM, INITIAL_TSVAL, TimestampValue, TsrArray,
+                     WriterTag, WriteTuple, _Bottom, intern_write_tuple)
 
 
-# ---------------------------------------------------------------------------
-# value-level codecs
-# ---------------------------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    if isinstance(value, _Bottom):
-        return {"__t": "bottom"}
-    if isinstance(value, TimestampValue):
-        body = {"__t": "tsval", "ts": value.ts,
-                "v": encode_value(value.value)}
-        if value.wid:
-            # Writer 0 omits the tag so legacy frames stay byte-identical.
-            body["wid"] = value.wid
-        return body
-    if isinstance(value, TsrArray):
-        return {"__t": "tsr", "rows": [list(row) for row in value]}
-    if isinstance(value, WriteTuple):
-        return {"__t": "wtuple", "tsval": encode_value(value.tsval),
-                "tsr": encode_value(value.tsrarray)}
-    if isinstance(value, HistoryEntry):
-        return {"__t": "hentry",
-                "pw": None if value.pw is None else encode_value(value.pw),
-                "w": None if value.w is None else encode_value(value.w)}
-    if isinstance(value, bytes):
-        return {"__t": "bytes",
-                "b64": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise TransportError(
-        f"value of type {type(value).__name__} is not wire-encodable")
-
-
-def decode_value(data: Any) -> Any:
-    if not isinstance(data, dict) or "__t" not in data:
-        return data
-    tag = data["__t"]
-    if tag == "bottom":
-        return BOTTOM
-    if tag == "tsval":
-        return TimestampValue(data["ts"], decode_value(data["v"]),
-                              wid=data.get("wid", 0))
-    if tag == "tsr":
-        return TsrArray.from_lists(data["rows"])
-    if tag == "wtuple":
-        return WriteTuple(decode_value(data["tsval"]),
-                          decode_value(data["tsr"]))
-    if tag == "hentry":
-        return HistoryEntry(
-            pw=None if data["pw"] is None else decode_value(data["pw"]),
-            w=None if data["w"] is None else decode_value(data["w"]))
-    if tag == "bytes":
-        return base64.b64decode(data["b64"])
-    raise TransportError(f"unknown value tag {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# message-level codecs
-# ---------------------------------------------------------------------------
-
-def _register(d: Dict[str, Any]) -> str:
-    """Decode the register tag; absent on pre-multiplexing frames."""
-    return d.get("r", DEFAULT_REGISTER)
-
-
-def _wid(d: Dict[str, Any]) -> int:
-    """Decode the writer id; absent on pre-MWMR frames (writer 0)."""
-    return d.get("wid", 0)
-
-
-def _maybe_wid(body: Dict[str, Any], wid: int) -> Dict[str, Any]:
-    """Attach a writer id only when nonzero (legacy frames stay stable)."""
-    if wid:
-        body["wid"] = wid
-    return body
-
-
-def _encode_tag_key(tag: WriterTag) -> str:
-    """History keys: ``"epoch"`` for writer 0 (legacy), ``"epoch:wid"``."""
-    if tag.writer_id:
-        return f"{tag.epoch}:{tag.writer_id}"
-    return str(tag.epoch)
-
-
-def _decode_tag_key(key: str) -> WriterTag:
-    epoch, _, wid = key.partition(":")
-    return WriterTag(int(epoch), int(wid) if wid else 0)
-
-
-def _encode_from_ts(from_ts: Any) -> Any:
-    """``from_ts``: None, bare epoch (writer 0, legacy) or [epoch, wid]."""
-    if from_ts is None:
-        return None
-    tag = as_tag(from_ts)
-    if tag.writer_id == 0:
-        return tag.epoch
-    return [tag.epoch, tag.writer_id]
-
-
-def _decode_from_ts(data: Any) -> Any:
-    if data is None:
-        return None
-    return as_tag(data if isinstance(data, int) else tuple(data))
-
-
-_ENCODERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
-    Pw: lambda m: _maybe_wid(
-        {"ts": m.ts, "pw": encode_value(m.pw),
-         "w": encode_value(m.w), "r": m.register_id}, m.wid),
-    W: lambda m: _maybe_wid(
-        {"ts": m.ts, "pw": encode_value(m.pw),
-         "w": encode_value(m.w), "r": m.register_id}, m.wid),
-    PwAck: lambda m: _maybe_wid(
-        {"ts": m.ts, "i": m.object_index,
-         "tsr": list(m.tsr), "r": m.register_id}, m.wid),
-    WriteAck: lambda m: _maybe_wid(
-        {"ts": m.ts, "i": m.object_index, "r": m.register_id}, m.wid),
-    TagQuery: lambda m: {"nonce": m.nonce, "r": m.register_id},
-    TagQueryAck: lambda m: _maybe_wid(
-        {"nonce": m.nonce, "i": m.object_index, "epoch": m.epoch,
-         "r": m.register_id}, m.wid),
-    EpochFence: lambda m: (
-        {"nonce": m.nonce, "epoch": m.epoch, "r": m.register_id,
-         **({"hard": True} if m.hard else {}),
-         **({"lift": True} if m.lift else {})}),
-    EpochFenceAck: lambda m: {"nonce": m.nonce, "i": m.object_index,
-                              "epoch": m.epoch, "r": m.register_id},
-    WriteFenced: lambda m: _maybe_wid(
-        {"i": m.object_index, "epoch": m.epoch, "fence": m.fence_epoch,
-         "nonce": m.nonce, "r": m.register_id}, m.wid),
-    ReadRequest: lambda m: {"k": m.round_index, "tsr": m.tsr,
-                            "j": m.reader_index,
-                            "from_ts": _encode_from_ts(m.from_ts),
-                            "r": m.register_id},
-    ReadAck: lambda m: {"k": m.round_index, "tsr": m.tsr,
-                        "i": m.object_index, "pw": encode_value(m.pw),
-                        "w": encode_value(m.w), "r": m.register_id},
-    HistoryReadAck: lambda m: {
-        "k": m.round_index, "tsr": m.tsr, "i": m.object_index,
-        "r": m.register_id,
-        "h": {_encode_tag_key(tag): encode_value(entry)
-              for tag, entry in m.history.items()}},
-    LeaseProbe: lambda m: _maybe_wid(
-        {"nonce": m.nonce, "epoch": m.epoch, "j": m.reader_index,
-         "r": m.register_id}, m.wid),
-    LeaseProbeAck: lambda m: _maybe_wid(
-        {"nonce": m.nonce, "i": m.object_index, "epoch": m.epoch,
-         "holds": m.holds, "fenced": m.fenced, "r": m.register_id},
-        m.wid),
-}
-
-_DECODERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "Pw": lambda d: Pw(ts=d["ts"], pw=decode_value(d["pw"]),
-                       w=decode_value(d["w"]), register_id=_register(d),
-                       wid=_wid(d)),
-    "W": lambda d: W(ts=d["ts"], pw=decode_value(d["pw"]),
-                     w=decode_value(d["w"]), register_id=_register(d),
-                     wid=_wid(d)),
-    "PwAck": lambda d: PwAck(ts=d["ts"], object_index=d["i"],
-                             tsr=tuple(d["tsr"]),
-                             register_id=_register(d), wid=_wid(d)),
-    "WriteAck": lambda d: WriteAck(ts=d["ts"], object_index=d["i"],
-                                   register_id=_register(d), wid=_wid(d)),
-    "TagQuery": lambda d: TagQuery(nonce=d["nonce"],
-                                   register_id=_register(d)),
-    "TagQueryAck": lambda d: TagQueryAck(nonce=d["nonce"],
-                                         object_index=d["i"],
-                                         epoch=d["epoch"], wid=_wid(d),
-                                         register_id=_register(d)),
-    "EpochFence": lambda d: EpochFence(nonce=d["nonce"], epoch=d["epoch"],
-                                       register_id=_register(d),
-                                       hard=d.get("hard", False),
-                                       lift=d.get("lift", False)),
-    "EpochFenceAck": lambda d: EpochFenceAck(nonce=d["nonce"],
-                                             object_index=d["i"],
-                                             epoch=d["epoch"],
-                                             register_id=_register(d)),
-    "WriteFenced": lambda d: WriteFenced(object_index=d["i"],
-                                         epoch=d["epoch"],
-                                         fence_epoch=d["fence"],
-                                         wid=_wid(d), nonce=d["nonce"],
-                                         register_id=_register(d)),
-    "ReadRequest": lambda d: ReadRequest(round_index=d["k"], tsr=d["tsr"],
-                                         reader_index=d["j"],
-                                         from_ts=_decode_from_ts(
-                                             d["from_ts"]),
-                                         register_id=_register(d)),
-    "ReadAck": lambda d: ReadAck(round_index=d["k"], tsr=d["tsr"],
-                                 object_index=d["i"],
-                                 pw=decode_value(d["pw"]),
-                                 w=decode_value(d["w"]),
-                                 register_id=_register(d)),
-    "HistoryReadAck": lambda d: HistoryReadAck(
-        round_index=d["k"], tsr=d["tsr"], object_index=d["i"],
-        register_id=_register(d),
-        history={_decode_tag_key(tag): decode_value(entry)
-                 for tag, entry in d["h"].items()}),
-    "LeaseProbe": lambda d: LeaseProbe(nonce=d["nonce"], epoch=d["epoch"],
-                                       reader_index=d["j"], wid=_wid(d),
-                                       register_id=_register(d)),
-    "LeaseProbeAck": lambda d: LeaseProbeAck(
-        nonce=d["nonce"], object_index=d["i"], epoch=d["epoch"],
-        wid=_wid(d), holds=d.get("holds", False),
-        fenced=d.get("fenced", False), register_id=_register(d)),
-}
-
-
-def register_codec(message_type: type,
-                   encoder: Callable[[Any], Dict[str, Any]],
-                   decoder: Callable[[Dict[str, Any]], Any]) -> None:
-    """Extension point for baseline / user-defined message types."""
-    _ENCODERS[message_type] = encoder
-    _DECODERS[message_type.__name__] = decoder
-
-
-def _encode_body(message: Any) -> Dict[str, Any]:
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
-        raise TransportError(
-            f"no codec registered for {type(message).__name__}")
-    body = encoder(message)
-    body["__kind"] = type(message).__name__
-    return body
-
-
-def _decode_body(body: Dict[str, Any]) -> Any:
-    kind = body.pop("__kind", None)
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise TransportError(f"no codec registered for kind {kind!r}")
-    return decoder(body)
-
-
-def encode_message(message: Any) -> str:
-    return json.dumps(_encode_body(message), separators=(",", ":"),
-                      sort_keys=True)
-
-
-def decode_message(wire: str) -> Any:
-    try:
-        body = json.loads(wire)
-    except json.JSONDecodeError as exc:
-        raise TransportError(f"malformed wire message: {exc}") from exc
-    return _decode_body(body)
-
-
-# A batch's parts are embedded as plain tagged dicts in the one frame --
-# not as nested JSON strings, which would re-escape every part -- so
-# batching composes with every registered vocabulary at no size penalty.
-_ENCODERS[Batch] = lambda m: {
-    "parts": [_encode_body(part) for part in m.messages]}
-_DECODERS["Batch"] = lambda d: Batch(
-    messages=tuple(_decode_body(part) for part in d["parts"]))
-
-
-# ---------------------------------------------------------------------------
-# codecs for the baseline and extension message vocabularies
-# ---------------------------------------------------------------------------
-
-
-def _register_extras() -> None:
-    """Register baseline/extension messages so the TCP tier covers every
-    protocol in the library, not just the paper's core."""
-    from ..baselines.abd.protocol import (AbdQuery, AbdQueryAck, AbdStore,
-                                          AbdStoreAck)
-    from ..baselines.authenticated.protocol import (AuthQuery, AuthQueryAck,
-                                                    AuthStore, AuthStoreAck)
-    from ..core.atomic.protocol import WriteBack, WriteBackAck
-    from ..crypto_sim import SignedValue
-
-    def encode_abd_store(m):
-        body = {"tsval": encode_value(m.tsval), "nonce": m.nonce,
-                "r": m.register_id}
-        if m.write_back:  # legacy writer frames stay byte-identical
-            body["wb"] = True
-        return body
-
-    register_codec(
-        AbdStore,
-        encode_abd_store,
-        lambda d: AbdStore(tsval=decode_value(d["tsval"]),
-                           nonce=d["nonce"], register_id=_register(d),
-                           write_back=d.get("wb", False)))
-    register_codec(
-        AbdStoreAck,
-        lambda m: {"nonce": m.nonce, "ts": m.ts, "r": m.register_id},
-        lambda d: AbdStoreAck(nonce=d["nonce"], ts=d["ts"],
-                              register_id=_register(d)))
-    register_codec(
-        AbdQuery,
-        lambda m: {"nonce": m.nonce, "r": m.register_id},
-        lambda d: AbdQuery(nonce=d["nonce"], register_id=_register(d)))
-    register_codec(
-        AbdQueryAck,
-        lambda m: {"nonce": m.nonce, "tsval": encode_value(m.tsval),
-                   "r": m.register_id},
-        lambda d: AbdQueryAck(nonce=d["nonce"],
-                              tsval=decode_value(d["tsval"]),
-                              register_id=_register(d)))
-
-    def encode_signed(signed):
-        if signed is None:
-            return None
-        return {"payload": encode_value(signed.payload),
-                "key_id": signed.key_id,
-                "tag": encode_value(signed.tag)}
-
-    def decode_signed(data):
-        if data is None:
-            return None
-        return SignedValue(payload=decode_value(data["payload"]),
-                           key_id=data["key_id"],
-                           tag=decode_value(data["tag"]))
-
-    register_codec(
-        AuthStore,
-        lambda m: {"signed": encode_signed(m.signed), "nonce": m.nonce,
-                   "r": m.register_id},
-        lambda d: AuthStore(signed=decode_signed(d["signed"]),
-                            nonce=d["nonce"], register_id=_register(d)))
-    register_codec(
-        AuthStoreAck,
-        lambda m: {"nonce": m.nonce, "r": m.register_id},
-        lambda d: AuthStoreAck(nonce=d["nonce"],
-                               register_id=_register(d)))
-    register_codec(
-        AuthQuery,
-        lambda m: {"nonce": m.nonce, "r": m.register_id},
-        lambda d: AuthQuery(nonce=d["nonce"], register_id=_register(d)))
-    register_codec(
-        AuthQueryAck,
-        lambda m: {"nonce": m.nonce, "signed": encode_signed(m.signed),
-                   "r": m.register_id},
-        lambda d: AuthQueryAck(nonce=d["nonce"],
-                               signed=decode_signed(d["signed"]),
-                               register_id=_register(d)))
-
-    register_codec(
-        WriteBack,
-        lambda m: {"c": encode_value(m.c), "nonce": m.nonce,
-                   "j": m.reader_index, "r": m.register_id},
-        lambda d: WriteBack(c=decode_value(d["c"]), nonce=d["nonce"],
-                            reader_index=d["j"],
-                            register_id=_register(d)))
-    register_codec(
-        WriteBackAck,
-        lambda m: {"nonce": m.nonce, "i": m.object_index,
-                   "r": m.register_id},
-        lambda d: WriteBackAck(nonce=d["nonce"], object_index=d["i"],
-                               register_id=_register(d)))
-
-    from ..sim.server_centric import PushUpdate
-
-    register_codec(
-        PushUpdate,
-        lambda m: {"i": m.object_index, "tsval": encode_value(m.tsval)},
-        lambda d: PushUpdate(object_index=d["i"],
-                             tsval=decode_value(d["tsval"])))
-
-
-_register_extras()
-
-
-# ---------------------------------------------------------------------------
-# Binary codec
-# ---------------------------------------------------------------------------
-#
 # Frame layout (everything little-endian):
 #
 #   message := MAGIC kind:u8 body
@@ -416,7 +37,7 @@ _register_extras()
 #              repeated sections
 #   string  := u8 < 0xFE            -- string-table reference (index)
 #            | 0xFE u16(index)      -- reference beyond 253
-#            | 0xFF u16(len) bytes  -- first occurrence, appended to the
+#            | 0xFF u32(len) bytes  -- first occurrence, appended to the
 #                                      frame's string table
 #   cells   := n x i64, -1 encoding the paper's ``nil``
 #   value   := tag:u8 payload (generic payloads: scalars, pairs, tuples)
@@ -431,7 +52,7 @@ _register_extras()
 # counters, so this is not a practical limit; generic *values* fall
 # back to a decimal big-int encoding.
 
-#: First byte of every binary frame; can never open a JSON document.
+#: First byte of every message frame.
 BINARY_MAGIC = 0xB1
 
 _STR_REF16 = 0xFE
@@ -477,9 +98,16 @@ def _empty_tsr(num_objects: int, num_readers: int) -> TsrArray:
 
 
 @functools.lru_cache(maxsize=65536)
+def _shared_hentry(pw, w) -> HistoryEntry:
+    return HistoryEntry(pw=pw, w=w)
+
+
 def _intern_hentry(pw, w) -> HistoryEntry:
     """Shared history entries per (pw, w) -- interned members make the
     cache key hash cheap, and histories repeat entries across acks."""
+    if ((pw is None or _internable(pw.value))
+            and (w is None or _internable(w.tsval.value))):
+        return _shared_hentry(pw, w)
     return HistoryEntry(pw=pw, w=w)
 
 
@@ -639,13 +267,6 @@ def _r_tsval(data, pos: int,
         raise TransportError(f"malformed pair: {exc}") from exc
 
 
-#: Value types whose encodings can never touch the string table --
-#: nested containers (pairs, tuples, entries) are excluded because they
-#: may hold strings at any depth.
-_STRING_FREE_SCALARS = frozenset((int, float, bool, bytes, _Bottom,
-                                  type(None)))
-
-
 @functools.lru_cache(maxsize=4096)
 def _wtuple_bytes(w: WriteTuple) -> bytes:
     """Encoded body of a write tuple with a string-free scalar value.
@@ -665,12 +286,26 @@ def _wtuple_bytes(w: WriteTuple) -> bytes:
 #: blob would retain a full second copy for the process lifetime.
 _CACHE_VALUE_LIMIT = 1024
 
+#: Payload types whose equal values always share one type and one
+#: encoding.  Only these may share a cache entry: ``0 == False == 0.0``
+#: and ``0.0 == -0.0``, so a cached bool or float pair could come back
+#: as another type (a written ``0`` read back as ``False``) or re-encode
+#: to other bytes.  Nested containers may hold such scalars at any depth.
+_EXACT_SCALARS = frozenset((str, int, bytes, _Bottom, type(None)))
+
+
+def _internable(value: Any) -> bool:
+    """Whether decoded copies of ``value`` may be shared via a cache."""
+    kind = value.__class__
+    if kind is str or kind is bytes:
+        return len(value) <= _CACHE_VALUE_LIMIT
+    return kind in _EXACT_SCALARS
+
 
 def _cacheable_value(value: Any) -> bool:
-    kind = value.__class__
-    if kind not in _STRING_FREE_SCALARS:
-        return False
-    return kind is not bytes or len(value) <= _CACHE_VALUE_LIMIT
+    """Whether a write tuple's encoding may be cached: an exact scalar
+    that never touches the frame's string table."""
+    return value.__class__ is not str and _internable(value)
 
 
 def _w_wtuple(buf: bytearray, w: WriteTuple,
@@ -686,10 +321,8 @@ def _r_wtuple(data, pos: int,
               strings: List[str]) -> Tuple[WriteTuple, int]:
     tsval, pos = _r_tsval(data, pos, strings)
     arr, pos = _r_tsr(data, pos)
-    value = tsval.value
-    if value.__class__ in (str, bytes) \
-            and len(value) > _CACHE_VALUE_LIMIT:
-        return WriteTuple(tsval, arr), pos  # don't pin large payloads
+    if not _internable(tsval.value):
+        return WriteTuple(tsval, arr), pos  # large or inexact payload
     return intern_write_tuple(tsval, arr), pos
 
 
@@ -892,8 +525,8 @@ def register_binary_codec(
         message_type: type, kind_byte: int,
         encoder: Callable[[bytearray, Any, Dict[str, int]], None],
         decoder: Callable[[Any, int, List[str]], Tuple[Any, int]]) -> None:
-    """Extension point mirroring :func:`register_codec` for the binary
-    format.  ``encoder(buf, message, strings)`` appends the message body
+    """Extension point for baseline / user-defined message types.
+    ``encoder(buf, message, strings)`` appends the message body
     (everything after the kind byte); ``decoder(data, pos, strings)``
     reads it back and returns ``(message, new_pos)``.  Kind bytes below
     64 are reserved for the core vocabulary."""
@@ -1289,23 +922,9 @@ def decode_message_binary(wire: Union[bytes, bytearray,
     return message
 
 
-def decode_message_auto(wire: Union[str, bytes, bytearray,
-                                    memoryview]) -> Any:
-    """Decode either wire format, sniffing by the first byte.
-
-    Legacy JSON frames (which always start with ``{``) keep decoding
-    forever; binary frames start with :data:`BINARY_MAGIC`.
-    """
-    if isinstance(wire, str):
-        return decode_message(wire)
-    if wire[:1] == b"{":
-        return decode_message(bytes(wire).decode("utf-8"))
-    return decode_message_binary(wire)
-
-
 def _register_binary_extras() -> None:
-    """Binary codecs for the baseline/extension vocabularies (the same
-    coverage as :func:`_register_extras`)."""
+    """Codecs for the baseline/extension vocabularies, so the TCP tier
+    covers every protocol in the library, not just the paper's core."""
     from ..baselines.abd.protocol import (AbdQuery, AbdQueryAck, AbdStore,
                                           AbdStoreAck)
     from ..baselines.authenticated.protocol import (AuthQuery, AuthQueryAck,

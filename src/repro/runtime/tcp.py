@@ -6,26 +6,23 @@ through :class:`TcpStorageClient`.  Objects answer on the connection the
 request arrived on -- the data-centric model's "objects only reply to
 clients" rule falls out of the transport naturally.
 
-Three frame formats coexist on every connection (see
-:mod:`repro.runtime.codec`):
+Two frame formats share every connection (see :mod:`repro.runtime.codec`
+for the message body):
 
-* **binary** (default, ``SystemConfig.wire_format = "binary"``) --
-  ``0xB1``, a little-endian ``u32`` body length, a compact sender id,
-  then the struct-packed message body;
+* **plain** -- ``0xB1``, a little-endian ``u32`` body length, a compact
+  sender id, then the struct-packed message body;
 * **addressed** -- ``0xB2``, a ``u32`` body length, a ``u8`` destination
-  count, that many ``u16`` object indices, then one complete *binary*
+  count, that many ``u16`` object indices, then one complete *plain*
   frame.  A server hosting several replicas (the multiproc replica
   child) decodes the inner frame once and hands the same message to
   every listed replica -- one round costs one frame, not one per
   replica.  The inner frame is a contiguous slice of the outer one, so
-  the write-ahead log stores it without re-encoding;
-* **json** (legacy) -- the original newline-delimited JSON frames.
+  the write-ahead log stores it without re-encoding.
 
-Inbound frames are sniffed by their first byte (JSON frames always open
-with ``{``), so old and new peers interoperate; ``wire_format`` only
-selects what a process *emits*.  Batched requests are dispatched through
-the automata's ``handle_batch`` fast path and all replies to the
-requester coalesce into a single response frame per replica.
+Any other first byte is not a frame: the server hangs up on that peer.
+Batched requests are dispatched through the automata's ``handle_batch``
+fast path and all replies to the requester coalesce into a single
+response frame per replica.
 
 This is the integration-test tier: slower than the in-memory network but
 exercising serialization, framing and genuine OS-level interleaving.
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import struct
 from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
@@ -46,8 +42,7 @@ from ..errors import ReplicaUnavailableError, TransportError
 from ..messages import Batch, Message, register_of, unbatch
 from ..types import (ProcessId, ROLE_OBJECT, ROLE_READER, ROLE_WRITER,
                      obj)
-from .codec import (BINARY_MAGIC, decode_message, decode_message_binary,
-                    encode_message, encode_message_binary)
+from .codec import BINARY_MAGIC, decode_message_binary, encode_message_binary
 from .hosts import as_frame, coalesce_outgoing
 
 _S_LEN = struct.Struct("<I")
@@ -57,24 +52,8 @@ _S_FRAME_HEAD = struct.Struct("<BIBI")  # ... sender role, sender index
 ADDRESSED_MAGIC = 0xB2
 #: the destination count of an addressed frame is one byte.
 MAX_DESTINATIONS = 255
-_JSON_OPEN = ord("{")
 _ROLE_TO_CODE = {ROLE_WRITER: 0, ROLE_READER: 1, ROLE_OBJECT: 2}
 _CODE_TO_ROLE = {code: role for role, code in _ROLE_TO_CODE.items()}
-
-
-def _encode_pid(pid: ProcessId) -> Dict[str, Any]:
-    return {"role": pid.role, "index": pid.index}
-
-
-def _decode_pid(data: Dict[str, Any]) -> ProcessId:
-    return ProcessId(role=data["role"], index=data["index"])
-
-
-def _frame_json(sender: ProcessId, payload: Any) -> bytes:
-    body = json.dumps({"sender": _encode_pid(sender),
-                       "msg": encode_message(payload)},
-                      separators=(",", ":"))
-    return body.encode("utf-8") + b"\n"
 
 
 def _frame_binary(sender: ProcessId, payload: Any) -> bytes:
@@ -83,21 +62,6 @@ def _frame_binary(sender: ProcessId, payload: Any) -> bytes:
     return _S_FRAME_HEAD.pack(BINARY_MAGIC, len(body) + 5,
                               _ROLE_TO_CODE[sender.role],
                               sender.index) + body
-
-
-def _frame(sender: ProcessId, payload: Any,
-           wire_format: str = "binary") -> bytes:
-    if wire_format == "json":
-        return _frame_json(sender, payload)
-    return _frame_binary(sender, payload)
-
-
-def _parse_json_line(line: bytes) -> Tuple[ProcessId, Any]:
-    try:
-        body = json.loads(line.decode("utf-8"))
-        return _decode_pid(body["sender"]), decode_message(body["msg"])
-    except (KeyError, ValueError) as exc:
-        raise TransportError(f"malformed frame: {exc}") from exc
 
 
 def _parse_binary_body(body: Union[bytes, memoryview]
@@ -120,7 +84,7 @@ def _dest_list(count: int) -> struct.Struct:
 
 
 def pack_addressed(dests: Sequence[int], frame: bytes) -> bytes:
-    """Wrap one *binary* frame with the object indices it is meant for."""
+    """Wrap one plain frame with the object indices it is meant for."""
     try:
         listing = _dest_list(len(dests)).pack(len(dests), *dests)
     except struct.error as exc:
@@ -131,7 +95,7 @@ def pack_addressed(dests: Sequence[int], frame: bytes) -> bytes:
 
 
 def split_addressed(body: bytes) -> Tuple[Tuple[int, ...], bytes]:
-    """``(destinations, inner binary frame)`` of an addressed frame body.
+    """``(destinations, inner plain frame)`` of an addressed frame body.
 
     The inner frame's own header is checked here, because the write-ahead
     log stores the slice as it is and recovery trusts its length field.
@@ -146,17 +110,17 @@ def split_addressed(body: bytes) -> Tuple[Tuple[int, ...], bytes]:
     frame = body[listing.size:]
     if (len(frame) < _S_HEAD.size or frame[0] != BINARY_MAGIC
             or _S_HEAD.unpack_from(frame)[1] != len(frame) - _S_HEAD.size):
-        raise TransportError("addressed frame does not wrap one binary frame")
+        raise TransportError("addressed frame does not wrap one plain frame")
     return dests, frame
 
 
 async def _read_raw(reader: asyncio.StreamReader
                     ) -> Optional[Tuple[bytes, bytes]]:
-    """``(header, body)`` of one frame of any format; ``None`` on clean EOF.
+    """``(header, body)`` of one plain or addressed frame; ``None`` on
+    clean EOF.
 
     Two reads per frame: the five header bytes (magic + length), then the
-    body.  A JSON frame is longer than five bytes, so its "header" is
-    simply the head of the line and its body the rest.
+    body.  Any other first byte is a :class:`TransportError`.
     """
     try:
         head = await reader.readexactly(_S_HEAD.size)
@@ -164,43 +128,36 @@ async def _read_raw(reader: asyncio.StreamReader
         if not exc.partial:
             return None
         raise TransportError("truncated frame header") from exc
-    magic = head[0]
-    if magic == BINARY_MAGIC or magic == ADDRESSED_MAGIC:
-        length = _S_HEAD.unpack(head)[1]
-        if length > 1 << 28:
-            raise TransportError("binary frame implausibly large")
-        try:
-            return head, await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise TransportError("truncated binary frame") from exc
-    if magic == _JSON_OPEN and b"\n" not in head:
-        return head, await reader.readline()
-    raise TransportError(f"unknown frame format (first byte {magic:#x})")
+    magic, length = _S_HEAD.unpack(head)
+    if magic != BINARY_MAGIC and magic != ADDRESSED_MAGIC:
+        raise TransportError(f"unknown frame format (first byte {magic:#x})")
+    if length > 1 << 28:
+        raise TransportError("binary frame implausibly large")
+    try:
+        return head, await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise TransportError("truncated binary frame") from exc
 
 
 async def read_frame(reader: asyncio.StreamReader
                      ) -> Optional[Tuple[ProcessId, Any]]:
-    """Read one binary or JSON frame; ``None`` on clean EOF.
+    """Read one plain frame; ``None`` on clean EOF.
 
-    The first byte decides: ``{`` opens a legacy newline-delimited JSON
-    frame, :data:`~repro.runtime.codec.BINARY_MAGIC` a length-prefixed
-    binary one.  Addressed frames only travel *towards* servers.
+    Addressed frames only travel *towards* servers.
     """
     raw = await _read_raw(reader)
     if raw is None:
         return None
     head, body = raw
-    if head[0] == BINARY_MAGIC:
-        return _parse_binary_body(body)
-    if head[0] == _JSON_OPEN:
-        return _parse_json_line(head + body)
-    raise TransportError("addressed frame on a client connection")
+    if head[0] != BINARY_MAGIC:
+        raise TransportError("addressed frame on a client connection")
+    return _parse_binary_body(body)
 
 
 #: ``frame_hook(object_index, sender, message, wire)``: ``message`` is the
-#: decoded request (possibly a ``Batch``), ``wire`` the binary frame it
-#: arrived as (``None`` for a JSON frame).  May return an awaitable.
-FrameHook = Callable[[int, ProcessId, Any, Optional[bytes]],
+#: decoded request (possibly a ``Batch``), ``wire`` the plain frame it
+#: arrived as.  May return an awaitable.
+FrameHook = Callable[[int, ProcessId, Any, bytes],
                      Optional[Awaitable[None]]]
 
 
@@ -208,40 +165,34 @@ class TcpObjectServer:
     """Serves object automata on one localhost TCP port.
 
     ``automaton`` is one object automaton or a sequence of them.  A
-    plain binary (or JSON) frame is handled by the first; an *addressed*
-    frame is decoded once and handled by every hosted automaton it
-    lists, in list order, and all their replies leave in one socket
-    write.  A destination nobody hosts is dropped and counted in
-    :attr:`misaddressed_frames` -- to the sender it is a slow object.
+    plain frame is handled by the first; an *addressed* frame is decoded
+    once and handled by every hosted automaton it lists, in list order,
+    and all their replies leave in one socket write.  A destination
+    nobody hosts is dropped and counted in :attr:`misaddressed_frames`
+    -- to the sender it is a slow object.
 
-    ``wire_format`` selects the format of the *replies* ("binary",
-    "json", or ``None`` to inherit the automaton config's setting);
-    requests of either format are always accepted.  ``frame_hook``
-    (see :data:`FrameHook`) observes every request *before* the
-    addressed automaton processes it -- the multiproc replica runtime
-    hangs its write-ahead log here, so a message's effects cannot be
-    acknowledged without its frame having been offered to the log
-    first.  When the hook returns an awaitable (a policy ``fsync``
-    running in an executor) it is awaited before the message is handled.
+    ``frame_hook`` (see :data:`FrameHook`) observes every request
+    *before* the addressed automaton processes it -- the multiproc
+    replica runtime hangs its write-ahead log here, so a message's
+    effects cannot be acknowledged without its frame having been offered
+    to the log first.  When the hook returns an awaitable (a policy
+    ``fsync`` running in an executor) it is awaited before the message
+    is handled.
 
-    A peer that sends bytes which are not a frame has its connection
-    closed; :attr:`malformed_frames` counts those.
+    A peer that sends bytes which are not a frame -- whatever its first
+    byte -- has its connection closed; :attr:`malformed_frames` counts
+    those.
     """
 
     def __init__(self,
                  automaton: Union[ObjectAutomaton, Sequence[ObjectAutomaton]],
                  host: str = "127.0.0.1", port: int = 0,
-                 wire_format: Optional[str] = None,
                  frame_hook: Optional[FrameHook] = None):
         automata = (list(automaton) if isinstance(automaton, (list, tuple))
                     else [automaton])
         self.automaton = automata[0]
         self.host = host
         self.port = port
-        if wire_format is None:
-            wire_format = getattr(getattr(self.automaton, "config", None),
-                                  "wire_format", "binary")
-        self.wire_format = wire_format
         self.frame_hook = frame_hook
         #: object index -> (its pid, its batch handler).
         self._replicas = {
@@ -279,7 +230,7 @@ class TcpObjectServer:
             await asyncio.wait(handlers)
 
     def _parse(self, head: bytes, body: bytes
-               ) -> Tuple[Tuple[int, ...], ProcessId, Any, Optional[bytes]]:
+               ) -> Tuple[Tuple[int, ...], ProcessId, Any, bytes]:
         """``(destinations, sender, message, wire)`` of one raw frame."""
         magic = head[0]
         if magic == ADDRESSED_MAGIC:
@@ -287,11 +238,8 @@ class TcpObjectServer:
             sender, message = _parse_binary_body(
                 memoryview(wire)[_S_HEAD.size:])
             return dests, sender, message, wire
-        if magic == BINARY_MAGIC:
-            sender, message = _parse_binary_body(body)
-            return self._unaddressed, sender, message, head + body
-        sender, message = _parse_json_line(head + body)
-        return self._unaddressed, sender, message, None
+        sender, message = _parse_binary_body(body)
+        return self._unaddressed, sender, message, head + body
 
     def _respond(self, replica: Tuple[ProcessId, Any], sender: ProcessId,
                  parts: Tuple[Any, ...], out: List[bytes]) -> None:
@@ -314,9 +262,9 @@ class TcpObjectServer:
                 # An already-batched (or exotic) reply cannot ride
                 # inside the sink frame; ship it as its own frame, as
                 # the pre-batching server did.
-                out.append(_frame(my_pid, payload, self.wire_format))
+                out.append(_frame_binary(my_pid, payload))
         if sink:
-            out.append(_frame(my_pid, as_frame(sink), self.wire_format))
+            out.append(_frame_binary(my_pid, as_frame(sink)))
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -360,13 +308,11 @@ class TcpStorageClient:
     """Drives client operations against a set of TCP object endpoints."""
 
     def __init__(self, pid: ProcessId,
-                 endpoints: List[Tuple[str, int]],
-                 wire_format: str = "binary"):
+                 endpoints: List[Tuple[str, int]]):
         if not pid.is_client:
             raise TransportError(f"{pid!r} is not a client")
         self.pid = pid
         self.endpoints = endpoints
-        self.wire_format = wire_format
         self._connections: List[
             Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._inbox: "asyncio.Queue[Tuple[ProcessId, Any]]" = asyncio.Queue()
@@ -463,7 +409,7 @@ class TcpStorageClient:
         if receiver.index >= len(self._connections):
             return  # endpoint not configured: behaves like a slow object
         await self._write_frame(
-            receiver.index, _frame(self.pid, payload, self.wire_format))
+            receiver.index, _frame_binary(self.pid, payload))
 
     async def _broadcast(self, sink: Sink) -> None:
         """One frame carrying the whole sink to every endpoint.
@@ -476,7 +422,7 @@ class TcpStorageClient:
         """
         if not sink:
             return
-        frame = _frame(self.pid, as_frame(sink), self.wire_format)
+        frame = _frame_binary(self.pid, as_frame(sink))
         for index in range(len(self._connections)):
             try:
                 await self._write_frame(index, frame)

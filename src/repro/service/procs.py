@@ -107,7 +107,7 @@ class _ChildLog:
         self._records: Any = ()
 
     def __call__(self, index: int, sender: ProcessId, message: Any,
-                 wire: Optional[bytes]) -> Optional[Awaitable[None]]:
+                 wire: bytes) -> Optional[Awaitable[None]]:
         if message is not self._message:
             self._message = message
             self._records = durable_records(sender, message, wire)

@@ -69,10 +69,9 @@ class WriterTag(NamedTuple):
     The classic MWMR extension of timestamp arbitration: writers discover
     the highest epoch a quorum has seen, bump it, and break epoch ties by
     their (globally unique) writer id.  Being a ``NamedTuple`` the tag
-    compares lexicographically for free, hashes like a tuple, and is
-    JSON-friendly on the wire.  The single-writer library is the special
-    case ``writer_id == 0`` throughout: every legacy frame, state and test
-    decodes/behaves as writer 0.
+    compares lexicographically for free and hashes like a tuple.  The
+    single-writer library is the special case ``writer_id == 0``
+    throughout: every single-writer state and test behaves as writer 0.
     """
 
     epoch: int
@@ -94,10 +93,10 @@ TAG0 = WriterTag(0, 0)
 
 def as_tag(value: Union["WriterTag", int, Tuple[int, int], None]
            ) -> Optional[WriterTag]:
-    """Normalize a wire/legacy representation to a :class:`WriterTag`.
+    """Normalize a timestamp or tag to a :class:`WriterTag`.
 
-    Legacy frames and call sites carry bare integer timestamps; they map
-    to ``(ts, writer 0)``.  ``None`` passes through (optional fields).
+    Single-writer call sites carry bare integer timestamps; they map to
+    ``(ts, writer 0)``.  ``None`` passes through (optional fields).
     """
     if value is None or isinstance(value, WriterTag):
         return value

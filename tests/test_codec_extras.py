@@ -8,13 +8,16 @@ from repro.baselines.authenticated.protocol import (AuthQuery, AuthQueryAck,
                                                     AuthStore, AuthStoreAck)
 from repro.core.atomic import WriteBack, WriteBackAck
 from repro.crypto_sim import Signer
-from repro.runtime import decode_message, encode_message, register_codec
+from repro.errors import TransportError
+from repro.runtime import codec
+from repro.runtime.codec import (_S_I64, decode_message_binary,
+                                 encode_message_binary, register_binary_codec)
 from repro.types import (TimestampValue, TsrArray, WriteTuple,
                          initial_write_tuple)
 
 
 def roundtrip(message):
-    decoded = decode_message(encode_message(message))
+    decoded = decode_message_binary(encode_message_binary(message))
     assert decoded == message
     return decoded
 
@@ -62,18 +65,31 @@ class TestAtomicCodecs:
 
 
 class TestRegisterCodec:
-    def test_user_defined_type(self):
+    def test_user_defined_type(self, monkeypatch):
+        # register into copies, so the shipped kind-byte table is intact
+        # for every later test
+        for table in ("_BIN_ENCODERS", "_BIN_DECODERS", "_BIN_KINDS"):
+            monkeypatch.setattr(codec, table, dict(getattr(codec, table)))
         from dataclasses import dataclass
         from repro.messages import Message
 
         @dataclass(frozen=True)
         class Probe(Message):
-            label: str
+            seq: int
 
-        register_codec(Probe,
-                       lambda m: {"label": m.label},
-                       lambda d: Probe(label=d["label"]))
-        roundtrip(Probe(label="hello"))
+        def encode(buf, m, strings):
+            buf += _S_I64.pack(m.seq)
+
+        def decode(data, pos, strings):
+            return Probe(seq=_S_I64.unpack_from(data, pos)[0]), pos + 8
+
+        register_binary_codec(Probe, 120, encode, decode)
+        roundtrip(Probe(seq=42))
+        # re-registering the same binding is idempotent ...
+        register_binary_codec(Probe, 120, encode, decode)
+        # ... but a kind byte already bound elsewhere is refused
+        with pytest.raises(TransportError):
+            register_binary_codec(Probe, 64, encode, decode)
 
 
 class TestFenceCodecs:
@@ -85,22 +101,14 @@ class TestFenceCodecs:
         roundtrip(WriteFenced(object_index=1, epoch=9, fence_epoch=12,
                               wid=3, nonce=5, register_id="k"))
 
-    def test_write_fenced_writer_zero_omits_wid(self):
-        import json
-        from repro.messages import WriteFenced
-        from repro.runtime import encode_message
-        wire = json.loads(encode_message(
-            WriteFenced(object_index=0, epoch=1, fence_epoch=4)))
-        assert "wid" not in wire  # legacy-stable framing
-
     def test_abd_store_write_back_flag(self):
-        import json
-        from repro.runtime import encode_message
         plain = AbdStore(tsval=TimestampValue(5, "v"), nonce=9)
         wb = AbdStore(tsval=TimestampValue(5, "v"), nonce=9,
                       write_back=True)
-        roundtrip(plain)
-        roundtrip(wb)
-        # Writer stores encode exactly as before the flag existed.
-        assert "wb" not in json.loads(encode_message(plain))
-        assert json.loads(encode_message(wb))["wb"] is True
+        assert roundtrip(plain).write_back is False
+        assert roundtrip(wb).write_back is True
+        # the flag is the byte after the kind byte; nothing else differs
+        plain_wire = encode_message_binary(plain)
+        wb_wire = encode_message_binary(wb)
+        assert (plain_wire[2], wb_wire[2]) == (0, 1)
+        assert plain_wire[3:] == wb_wire[3:]

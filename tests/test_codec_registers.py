@@ -9,7 +9,8 @@ from repro.errors import TransportError
 from repro.messages import (Batch, HistoryEntry, HistoryReadAck, Pw, PwAck,
                             ReadAck, ReadRequest, TagQueryAck, W, WriteAck,
                             register_of, unbatch)
-from repro.runtime import decode_message, encode_message
+from repro.runtime.codec import (BINARY_MAGIC, decode_message_binary,
+                                 encode_message_binary)
 from repro.types import (DEFAULT_REGISTER, TimestampValue, TsrArray,
                          WriterTag, WriteTuple)
 
@@ -20,7 +21,7 @@ def wtuple() -> WriteTuple:
 
 
 def roundtrip(message):
-    return decode_message(encode_message(message))
+    return decode_message_binary(encode_message_binary(message))
 
 
 class TestRegisterFieldRoundTrips:
@@ -107,16 +108,6 @@ class TestRegisterFieldRoundTrips:
             assert decoded == message
             assert decoded.wid == 7
 
-    def test_legacy_frames_decode_to_default_register(self):
-        # A frame written before the register field existed has no "r" key.
-        import json
-        wire = encode_message(WriteAck(ts=1, object_index=0))
-        body = json.loads(wire)
-        del body["r"]
-        legacy = json.dumps(body, separators=(",", ":"), sort_keys=True)
-        decoded = decode_message(legacy)
-        assert decoded.register_id == DEFAULT_REGISTER
-
     def test_register_of_defaults_for_plain_payloads(self):
         assert register_of("probe") == DEFAULT_REGISTER
         assert register_of(object()) == DEFAULT_REGISTER
@@ -152,4 +143,4 @@ class TestBatchCodec:
 
     def test_unknown_kind_still_rejected(self):
         with pytest.raises(TransportError):
-            decode_message('{"__kind":"Nope"}')
+            decode_message_binary(bytes([BINARY_MAGIC, 63]))

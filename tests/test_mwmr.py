@@ -2,8 +2,7 @@
 
 Covers the MWMR refactor across every layer: writer-tag types, the
 tag-discovery write path, tag arbitration in the object automata, the
-tag-based checkers, the wire codec (including legacy untagged frames
-decoding as writer 0), Byzantine stale-tag forgery, and the service tier
+tag-based checkers, the wire codec, Byzantine stale-tag forgery, and the service tier
 accepting writes from any client host.
 """
 
@@ -23,13 +22,13 @@ from repro.core.safe import SafeStorageProtocol
 from repro.core.safe.predicates import CandidateTracker
 from repro.errors import BackpressureError, ConfigurationError
 from repro.messages import (HistoryEntry, Pw, TagQuery, TagQueryAck, W)
-from repro.runtime.codec import decode_message, encode_message
+from repro.runtime.codec import decode_message_binary, encode_message_binary
 from repro.service import MultiRegisterStore, ShardedKVStore
 from repro.spec import (check_atomicity, check_mwmr_atomicity,
                         check_mwmr_regularity, check_regularity,
                         check_safety, History, READ, WRITE)
 from repro.types import (BOTTOM, TimestampValue, TsrArray, WriteTuple,
-                         as_tag, initial_write_tuple, obj, reader)
+                         as_tag, obj, reader)
 
 
 def run(coro):
@@ -158,7 +157,7 @@ class TestMultiWriterSim:
 
 
 # ---------------------------------------------------------------------------
-# Codec: tagged frames round-trip, legacy frames decode as writer 0
+# Codec: tagged frames round-trip
 # ---------------------------------------------------------------------------
 
 
@@ -175,7 +174,8 @@ class TestTaggedCodec:
             TagQuery(nonce=4, register_id="k"),
             TagQueryAck(nonce=4, object_index=1, epoch=9, wid=2),
         ):
-            assert decode_message(encode_message(message)) == message
+            assert decode_message_binary(
+                encode_message_binary(message)) == message
 
     def test_tagged_history_ack_roundtrip(self):
         from repro.messages import HistoryReadAck
@@ -185,42 +185,9 @@ class TestTaggedCodec:
                          pw=TimestampValue(1, "a"), w=None),
                      WriterTag(1, 2): HistoryEntry(
                          pw=TimestampValue(1, "b", wid=2), w=None)})
-        decoded = decode_message(encode_message(ack))
+        decoded = decode_message_binary(encode_message_binary(ack))
         assert decoded == ack
         assert set(decoded.history) == {(1, 0), (1, 2)}
-
-    def test_legacy_untagged_frames_decode_as_writer_zero(self):
-        """Pre-MWMR wire frames (no wid, integer history keys / from_ts)
-        must keep decoding, attributed to writer 0."""
-        legacy_pw = ('{"__kind":"Pw","pw":{"__t":"tsval","ts":1,"v":"x"},'
-                     '"r":"r0","ts":1,"w":{"__t":"wtuple","tsr":{"__t":"tsr",'
-                     '"rows":[[null],[null],[null]]},"tsval":{"__t":"tsval",'
-                     '"ts":0,"v":{"__t":"bottom"}}}}')
-        message = decode_message(legacy_pw)
-        assert isinstance(message, Pw)
-        assert message.wid == 0 and message.tag == (1, 0)
-        assert message.pw.tag == (1, 0)
-
-        legacy_hist = ('{"__kind":"HistoryReadAck","h":{"2":{"__t":"hentry",'
-                       '"pw":{"__t":"tsval","ts":2,"v":"y"},"w":null}},'
-                       '"i":0,"k":1,"r":"r0","tsr":5}')
-        ack = decode_message(legacy_hist)
-        assert set(ack.history) == {(2, 0)}
-
-        legacy_read = ('{"__kind":"ReadRequest","from_ts":3,"j":0,"k":1,'
-                       '"r":"r0","tsr":7}')
-        request = decode_message(legacy_read)
-        assert request.from_ts == WriterTag(3, 0)
-
-    def test_writer_zero_frames_stay_legacy_on_the_wire(self):
-        """Writer-0 traffic encodes without the wid key, so a mixed fleet
-        of old and new nodes interoperates."""
-        wt = initial_write_tuple(3, 1)
-        wire = encode_message(Pw(ts=1, pw=TimestampValue(1, "x"), w=wt))
-        assert '"wid"' not in wire
-        tagged = encode_message(
-            Pw(ts=1, pw=TimestampValue(1, "x", wid=2), w=wt, wid=2))
-        assert '"wid":2' in tagged
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.core.safe import SafeStorageProtocol
 from repro.core.safe.predicates import exists_conflict_free_quorum
 from repro.harness import WorkloadSpec, run_concurrent
 from repro.messages import Pw, ReadAck, ReadRequest
-from repro.runtime import decode_message, encode_message
+from repro.runtime.codec import decode_message_binary, encode_message_binary
 from repro.sim import RandomScheduler
 from repro.spec import check_regularity, check_safety, check_wait_freedom
 from repro.system import StorageSystem
@@ -100,7 +100,7 @@ def test_tsval_order_total_and_ts_monotone(pairs):
 @settings(max_examples=50)
 def test_codec_roundtrip_pw(wt):
     message = Pw(ts=wt.ts if wt.ts > 0 else 1, pw=wt.tsval, w=wt)
-    assert decode_message(encode_message(message)) == message
+    assert decode_message_binary(encode_message_binary(message)) == message
 
 
 @given(write_tuples(), st.integers(1, 2), st.integers(1, 100))
@@ -108,7 +108,7 @@ def test_codec_roundtrip_pw(wt):
 def test_codec_roundtrip_read_ack(wt, round_index, tsr):
     message = ReadAck(round_index=round_index, tsr=tsr, object_index=0,
                       pw=wt.tsval, w=wt)
-    assert decode_message(encode_message(message)) == message
+    assert decode_message_binary(encode_message_binary(message)) == message
 
 
 @given(st.integers(1, 2), st.integers(1, 1000),
@@ -116,7 +116,7 @@ def test_codec_roundtrip_read_ack(wt, round_index, tsr):
 def test_codec_roundtrip_read_request(k, tsr, j, from_ts):
     message = ReadRequest(round_index=k, tsr=tsr, reader_index=j,
                           from_ts=from_ts)
-    assert decode_message(encode_message(message)) == message
+    assert decode_message_binary(encode_message_binary(message)) == message
 
 
 # ---------------------------------------------------------------------------

@@ -381,24 +381,21 @@ class TestVocabFindings:
         class Lost:
             pass
 
-        found = vocab_findings("registry-vocab", {Lost}, set(), set(), {},
-                               self._anchor)
+        found = vocab_findings("registry-vocab", {Lost}, {}, self._anchor)
         assert len(found) == 1 and "Lost" in found[0].message
 
     def test_wire_inline_exempt(self):
         class Inline:
             wire_inline = True
 
-        found = vocab_findings("registry-vocab", {Inline}, set(), set(), {},
-                               self._anchor)
+        found = vocab_findings("registry-vocab", {Inline}, {}, self._anchor)
         assert found == []
 
     def test_fully_registered_passes(self):
         class Ok:
             pass
 
-        found = vocab_findings("registry-vocab", {Ok}, {Ok}, {"Ok"},
-                               {Ok: 99}, self._anchor)
+        found = vocab_findings("registry-vocab", {Ok}, {Ok: 99}, self._anchor)
         assert found == []
 
     def test_duplicate_kind_byte_flagged(self):
@@ -408,9 +405,8 @@ class TestVocabFindings:
         class B:
             pass
 
-        found = vocab_findings(
-            "registry-vocab", {A, B}, {A, B}, {"A", "B"}, {A: 7, B: 7},
-            self._anchor)
+        found = vocab_findings("registry-vocab", {A, B}, {A: 7, B: 7},
+                               self._anchor)
         assert len(found) == 2
         assert all("kind byte 7" in f.message for f in found)
 
@@ -418,8 +414,8 @@ class TestVocabFindings:
         class Stranger:
             pass
 
-        found = vocab_findings("registry-vocab", set(), {Stranger},
-                               {"Stranger"}, {Stranger: 5}, self._anchor)
+        found = vocab_findings("registry-vocab", set(), {Stranger: 5},
+                               self._anchor)
         assert any("not a Message subclass" in f.message for f in found)
 
 
@@ -599,14 +595,6 @@ class TestShippedTree:
 
 class TestPushUpdateCodec:
     """PushUpdate was a registered-nowhere wire message (registry-vocab)."""
-
-    def test_json_roundtrip(self):
-        from repro.runtime.codec import decode_message, encode_message
-        from repro.sim.server_centric import PushUpdate
-        from repro.types import TimestampValue
-
-        m = PushUpdate(object_index=3, tsval=TimestampValue(7, "v7", wid=2))
-        assert decode_message(encode_message(m)) == m
 
     def test_binary_roundtrip(self):
         from repro.runtime.codec import (decode_message_binary,

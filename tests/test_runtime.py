@@ -11,8 +11,9 @@ from repro.core.safe import SafeStorageProtocol
 from repro.errors import TransportError
 from repro.messages import (HistoryEntry, HistoryReadAck, Pw, PwAck, ReadAck,
                             ReadRequest, W, WriteAck)
-from repro.runtime import (AsyncStorage, TcpObjectServer, TcpStorageClient,
-                           decode_message, encode_message)
+from repro.runtime import AsyncStorage, TcpObjectServer, TcpStorageClient
+from repro.runtime.codec import (BINARY_MAGIC, decode_message_binary,
+                                 encode_message_binary)
 from repro.types import (BOTTOM, INITIAL_TSVAL, TimestampValue, TsrArray,
                          WRITER, WriteTuple, initial_write_tuple, reader)
 
@@ -45,7 +46,8 @@ class TestCodec:
     ])
     def test_roundtrip(self, factory, wtuple):
         message = factory(wtuple)
-        assert decode_message(encode_message(message)) == message
+        assert decode_message_binary(encode_message_binary(message)) \
+            == message
 
     def test_history_ack_roundtrip(self, wtuple):
         ack = HistoryReadAck(
@@ -53,25 +55,29 @@ class TestCodec:
             history={0: HistoryEntry(pw=INITIAL_TSVAL,
                                      w=initial_write_tuple(3, 2)),
                      2: HistoryEntry(pw=wtuple.tsval, w=None)})
-        decoded = decode_message(encode_message(ack))
+        decoded = decode_message_binary(encode_message_binary(ack))
         assert decoded == ack
         assert decoded.history[2, 0].w is None
 
     def test_bottom_survives_the_wire(self):
         message = Pw(ts=1, pw=TimestampValue(1, "x"),
                      w=initial_write_tuple(2, 1))
-        decoded = decode_message(encode_message(message))
+        decoded = decode_message_binary(encode_message_binary(message))
         assert decoded.w.value is BOTTOM
 
     def test_malformed_wire_rejected(self):
-        with pytest.raises(TransportError):
-            decode_message("not json at all {")
-        with pytest.raises(TransportError):
-            decode_message('{"__kind": "NoSuchMessage"}')
+        for wire in (
+            b"",                                  # empty
+            b'{"__kind": "WriteAck"}',            # bad magic
+            bytes([BINARY_MAGIC, 0xEE]),          # unknown kind byte
+            encode_message_binary(WriteAck(ts=2, object_index=0)) + b"\x00",
+        ):
+            with pytest.raises(TransportError):
+                decode_message_binary(wire)
 
     def test_unregistered_type_rejected(self):
         with pytest.raises(TransportError):
-            encode_message(("tuple", "payload"))
+            encode_message_binary(("tuple", "payload"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,45 +1,38 @@
 """Binary wire codec + vector round engine tests.
 
-Covers the PR-5 fast wire path end to end:
+Covers the fast wire path end to end:
 
-* property-based binary ⟷ JSON codec equivalence over every message
-  type (tagged MWMR frames, legacy frames, ``Batch`` envelopes);
+* property-based round trips and byte stability of the binary codec
+  over every message type (tagged MWMR frames, ``Batch`` envelopes);
 * fuzzed truncated/corrupted binary frames must fail with
   :class:`TransportError`, never another exception;
-* legacy JSON frames (recorded literals) keep decoding;
 * the vector round engine: ``MuxClientHost.run_many`` under faults,
-  deterministic ``SimKernel.invoke_many``, the TCP tier in both wire
-  formats (and mixed), and the ``handle_batch`` consistency guard.
+  deterministic ``SimKernel.invoke_many``, the TCP tier, and the
+  ``handle_batch`` consistency guard.
 """
 
 import asyncio
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.base import (ObjectAutomaton, resolve_batch_handler)
+from repro.automata.base import resolve_batch_handler
 from repro.adversary.byzantine import StaleReplier, ValueForger
 from repro.config import SystemConfig
 from repro.core.regular import (CachedRegularStorageProtocol,
                                 RegularStorageProtocol)
 from repro.core.regular.object import RegularObject
-from repro.core.safe import SafeStorageProtocol
 from repro.errors import FencedWriteError, TransportError
 from repro.messages import (Batch, EpochFence, EpochFenceAck, HistoryEntry,
                             HistoryReadAck, Pw, PwAck, ReadAck, ReadRequest,
                             TagQuery, TagQueryAck, W, WriteAck, WriteFenced)
-from repro.runtime.codec import (decode_message, decode_message_auto,
-                                 decode_message_binary, encode_message,
-                                 encode_message_binary)
-from repro.runtime.hosts import MuxClientHost, ObjectHost
-from repro.runtime.memnet import AsyncNetwork
+from repro.runtime.codec import decode_message_binary, encode_message_binary
 from repro.runtime.tcp import TcpObjectServer, TcpStorageClient
 from repro.service import MultiRegisterStore
 from repro.sim.kernel import SimKernel
-from repro.types import (BOTTOM, TAG0, TimestampValue, TsrArray, WRITER,
+from repro.types import (BOTTOM, TimestampValue, TsrArray, WRITER,
                          WriterTag, WriteTuple, initial_write_tuple, obj,
-                         reader, writer)
+                         reader)
 
 CONFIG = SystemConfig.optimal(t=1, b=1, num_readers=2)
 
@@ -174,20 +167,22 @@ def messages(draw):
 class TestCodecProperties:
     @settings(max_examples=200, deadline=None)
     @given(messages())
-    def test_binary_json_equivalence(self, message):
-        """Both codecs round-trip to the same (equal) message."""
-        via_json = decode_message(encode_message(message))
-        via_binary = decode_message_binary(encode_message_binary(message))
-        assert via_json == message
-        assert via_binary == message
-        assert via_binary == via_json
+    def test_binary_encoding_is_byte_stable(self, message):
+        """A decoded frame re-encodes to the very same bytes: the WAL
+        stores inbound frames as they arrived, so the bytes a replica
+        logs and the bytes it would encode must not drift apart."""
+        wire = encode_message_binary(message)
+        decoded = decode_message_binary(wire)
+        assert decoded == message
+        assert encode_message_binary(decoded) == wire
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(messages(), min_size=0, max_size=5))
     def test_batch_equivalence(self, parts):
         batch = Batch(messages=tuple(parts))
-        assert decode_message(encode_message(batch)) == batch
-        assert decode_message_binary(encode_message_binary(batch)) == batch
+        wire = encode_message_binary(batch)
+        assert decode_message_binary(wire) == batch
+        assert encode_message_binary(decode_message_binary(wire)) == wire
 
     @settings(max_examples=80, deadline=None)
     @given(messages(), st.data())
@@ -219,29 +214,30 @@ class TestCodecProperties:
         except TransportError:
             pass
 
-    @settings(max_examples=100, deadline=None)
-    @given(messages())
-    def test_auto_decode_sniffs_format(self, message):
-        assert decode_message_auto(encode_message_binary(message)) \
-            == message
-        assert decode_message_auto(
-            encode_message(message).encode("utf-8")) == message
 
-
-class TestLegacyFrames:
-    def test_legacy_json_frames_still_decode(self):
-        """Pre-binary recorded frames (no register, no wid) decode to
-        DEFAULT_REGISTER / writer-0 messages, byte-for-byte as before."""
-        legacy = '{"__kind":"WriteAck","i":2,"ts":7}'
-        message = decode_message(legacy)
-        assert message == WriteAck(ts=7, object_index=2,
-                                   register_id="r0", wid=0)
-        assert decode_message_auto(legacy.encode()) == message
-        legacy_read = ('{"__kind":"ReadRequest","from_ts":3,"j":0,'
-                       '"k":2,"tsr":9}')
-        request = decode_message(legacy_read)
-        assert request.from_ts == WriterTag(3, 0)
-        assert request.register_id == "r0"
+class TestCodecCaches:
+    def test_equal_payloads_of_another_type_keep_their_type(self):
+        """Regression: ``0 == False == 0.0`` (and ``0.0 == -0.0``) hash
+        alike, so the codec's intern caches handed back whichever type
+        they had seen first -- a written ``0`` decoded as ``False``, a
+        ``1.0`` re-encoded as ``1``."""
+        tsr = TsrArray.empty(4, 1)
+        for value in (False, 0, 0.0, -0.0, 1.0, True, 1) * 2:
+            pair = TimestampValue(9, value)
+            for message in (
+                    Pw(ts=9, pw=pair, w=WriteTuple(pair, tsr)),
+                    HistoryReadAck(round_index=1, tsr=0, object_index=0,
+                                   history={pair.tag: HistoryEntry(
+                                       pw=pair, w=WriteTuple(pair, tsr))})):
+                wire = encode_message_binary(message)
+                decoded = decode_message_binary(wire)
+                if isinstance(decoded, Pw):
+                    got = [decoded.pw.value, decoded.w.value]
+                else:
+                    (entry,) = decoded.history.values()
+                    got = [entry.pw.value, entry.w.value]
+                assert [repr(v) for v in got] == [repr(value)] * 2
+                assert encode_message_binary(decoded) == wire
 
     def test_nested_string_value_keeps_table_in_sync(self):
         """Regression: a write tuple whose *nested* value hides a string
@@ -263,10 +259,6 @@ class TestLegacyFrames:
         decoded = decode_message_binary(encode_message_binary(batch))
         assert decoded == batch
         assert decoded.messages[2].register_id == "regB"
-
-    def test_binary_magic_never_opens_json(self):
-        assert encode_message_binary(TagQuery(nonce=1))[0] == 0xB1
-        assert encode_message(TagQuery(nonce=1))[0] == "{"
 
 
 class TestVectorEngine:
@@ -405,20 +397,17 @@ class TestVectorEngine:
 
 
 class TestTcpWireFormats:
-    @pytest.mark.parametrize("wire_format", ["binary", "json"])
-    def test_full_protocol_over_sockets(self, wire_format):
+    def test_full_protocol_over_sockets(self):
         async def scenario():
             protocol = CachedRegularStorageProtocol()
             config = SystemConfig.optimal(t=1, b=1, num_readers=1)
-            servers = [TcpObjectServer(o, wire_format=wire_format)
+            servers = [TcpObjectServer(o)
                        for o in protocol.make_objects(config)]
             ports = [await s.start() for s in servers]
             endpoints = [("127.0.0.1", p) for p in ports]
             states = protocol.client_states(config)
-            writer_client = TcpStorageClient(WRITER, endpoints,
-                                             wire_format=wire_format)
-            reader_client = TcpStorageClient(reader(0), endpoints,
-                                             wire_format=wire_format)
+            writer_client = TcpStorageClient(WRITER, endpoints)
+            reader_client = TcpStorageClient(reader(0), endpoints)
             await writer_client.connect()
             await reader_client.connect()
             try:
@@ -438,42 +427,3 @@ class TestTcpWireFormats:
                     await server.stop()
 
         run(scenario())
-
-    def test_mixed_formats_on_one_deployment(self):
-        """A JSON client and a binary client against the same binary
-        servers: inbound sniffing keeps old peers working."""
-        async def scenario():
-            protocol = CachedRegularStorageProtocol()
-            config = SystemConfig.optimal(t=1, b=1, num_readers=2)
-            servers = [TcpObjectServer(o)
-                       for o in protocol.make_objects(config)]
-            ports = [await s.start() for s in servers]
-            endpoints = [("127.0.0.1", p) for p in ports]
-            states = protocol.client_states(config)
-            legacy_writer = TcpStorageClient(WRITER, endpoints,
-                                             wire_format="json")
-            modern_reader = TcpStorageClient(reader(0), endpoints,
-                                             wire_format="binary")
-            await legacy_writer.connect()
-            await modern_reader.connect()
-            try:
-                assert await legacy_writer.run(
-                    protocol.make_write(
-                        states.writer("r0"), "mixed")) == "OK"
-                assert await modern_reader.run(
-                    protocol.make_read(states.reader("r0"))) == "mixed"
-            finally:
-                await legacy_writer.close()
-                await modern_reader.close()
-                for server in servers:
-                    await server.stop()
-
-        run(scenario())
-
-    def test_json_wire_format_config_validates(self):
-        with pytest.raises(Exception):
-            SystemConfig.optimal(t=1, b=1).__class__(
-                t=1, b=1, num_objects=4, wire_format="msgpack")
-        config = dataclasses.replace(
-            SystemConfig.optimal(t=1, b=1), wire_format="json")
-        assert config.wire_format == "json"
