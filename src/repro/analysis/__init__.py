@@ -10,10 +10,9 @@ general case for mechanically checking protocol-implementation parity):
   (read-check-act on shared attributes straddling an ``await``) and a
   blocking-call-in-async lint (``os.fsync``, ``time.sleep``, file
   ``flush``, synchronous subprocess/socket work on an event loop);
-* :mod:`.rules_registry` -- message/codec/automata exhaustiveness:
-  every :class:`~repro.messages.Message` subclass is slotted and has a
-  wire codec, kind bytes are unique and stable,
-  and batch fast paths are only reached through
+* :mod:`.rules_registry` -- message/automata exhaustiveness: every
+  :class:`~repro.messages.Message` subclass is slotted, and batch fast
+  paths are only reached through
   :func:`~repro.automata.base.resolve_batch_handler`;
 * :mod:`.rules_determinism` -- SimKernel-reachable modules must stay
   deterministic: no ambient wall clocks, no process-global RNG, no

@@ -4,7 +4,7 @@ Two rule shapes exist:
 
 * :class:`Rule` -- runs per source file against its AST (most rules);
 * :class:`ProjectRule` -- runs once over the whole file set (cross-file
-  invariants such as codec/registry exhaustiveness).
+  invariants such as batch-dispatch parity).
 
 A finding on line *N* is silenced by a suppression comment **on that
 line**::

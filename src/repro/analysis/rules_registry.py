@@ -1,7 +1,8 @@
-"""Registry exhaustiveness: messages, wire codecs, batch dispatch.
+"""Registry exhaustiveness: message slots and batch dispatch.
 
-Four rules keep the hand-maintained message/codec/automata registries
-honest:
+Three rules keep the hand-maintained message/automata registries honest
+(the wire codec needs none: it is derived from each message's
+declaration, see :mod:`repro.runtime.codec`):
 
 ``registry-slots`` (syntactic, per file)
     Every ``class X(Message)`` must be slotted -- either
@@ -9,16 +10,6 @@ honest:
     Messages are allocated millions of times per run; an accidental
     ``__dict__`` per instance is a silent 3x memory regression and lets
     typo'd attributes pass unnoticed.
-
-``registry-vocab`` (dynamic, whole project)
-    Imports the live package and checks that the wire codec's
-    vocabulary (``_BIN_KINDS``) and the set of concrete ``Message``
-    subclasses agree: every subclass has a binary codec, every kind byte
-    is unique, and nothing is registered for a type that is not a
-    ``Message``.
-    Classes that only travel *inside* another message's payload (for
-    example ``HistoryEntry`` inside ``HistoryReadAck``) opt out with a
-    class attribute ``wire_inline = True``.
 
 ``batch-parity`` (dynamic, whole project)
     For every concrete ``ObjectAutomaton``,
@@ -33,9 +24,9 @@ honest:
     bypass the consistency guard; dispatch must go through
     ``resolve_batch_handler``.
 
-The dynamic rules anchor findings at the ``class`` statement of the
+The dynamic rule anchors findings at the ``class`` statement of the
 offending type, so line suppressions work exactly as for AST rules.
-They silently skip when the analyzed file set does not contain the
+It silently skips when the analyzed file set does not contain the
 live package sources (fixture runs in tests).
 """
 
@@ -52,10 +43,8 @@ from .core import Finding, SourceFile, register_rule
 
 __all__ = [
     "RegistrySlotsRule",
-    "RegistryVocabRule",
     "BatchParityRule",
     "BatchDispatchRule",
-    "vocab_findings",
     "batch_parity_findings",
 ]
 
@@ -159,7 +148,7 @@ class BatchDispatchRule:
 
 
 # --------------------------------------------------------------------------
-# Dynamic rules: run against the live package.
+# Dynamic rule: runs against the live package.
 
 
 def _is_canonical(cls: type) -> bool:
@@ -222,57 +211,6 @@ class _ProjectAnchors:
         return rel, line
 
 
-def vocab_findings(
-    rule_id: str,
-    universe: Iterable[type],
-    bin_kinds: dict[type, int],
-    anchor: Callable[[type], tuple[str, int] | None],
-) -> list[Finding]:
-    """Pure comparison logic, separated from live-package loading so
-    tests can feed synthetic bad universes."""
-    findings: list[Finding] = []
-
-    def emit(cls: type, message: str) -> None:
-        at = anchor(cls)
-        if at is not None:
-            findings.append(Finding(rule_id=rule_id, path=at[0], line=at[1], message=message))
-
-    wire_types = {
-        cls
-        for cls in universe
-        if not cls.__dict__.get("wire_inline", False) and not inspect.isabstract(cls)
-    }
-
-    for cls in sorted(wire_types, key=lambda c: c.__name__):
-        if cls not in bin_kinds:
-            emit(
-                cls,
-                f"message class '{cls.__name__}' has no binary codec "
-                "(register_binary_codec); every wire message must round-trip "
-                "through the codec (mark payload-only classes with "
-                "wire_inline = True)",
-            )
-
-    by_kind: dict[int, list[type]] = {}
-    for cls, kind in bin_kinds.items():
-        by_kind.setdefault(kind, []).append(cls)
-    for kind, classes in sorted(by_kind.items()):
-        if len(classes) > 1:
-            names = ", ".join(sorted(c.__name__ for c in classes))
-            for cls in classes:
-                emit(cls, f"binary kind byte {kind} is bound to multiple types: {names}")
-
-    universe_set = set(universe)
-    for cls in sorted(bin_kinds, key=lambda c: c.__name__):
-        if cls not in universe_set:
-            emit(
-                cls,
-                f"'{cls.__name__}' is registered in the wire codec but is not "
-                "a Message subclass",
-            )
-    return findings
-
-
 def batch_parity_findings(
     rule_id: str,
     automata: Iterable[type],
@@ -313,8 +251,8 @@ def batch_parity_findings(
     return findings
 
 
-def _load_live_package() -> tuple[Any, Any, Any] | None:
-    """Import repro + every submodule; return (messages, codec, base) or
+def _load_live_package() -> Any:
+    """Import repro + every submodule; return ``repro.automata.base`` or
     None when the live package is unavailable."""
     try:
         import importlib
@@ -329,32 +267,11 @@ def _load_live_package() -> tuple[Any, Any, Any] | None:
                 importlib.import_module(mod.name)
             except Exception:
                 continue  # a module failing to import is not this rule's finding
-        from repro import messages
         from repro.automata import base
-        from repro.runtime import codec
 
-        return messages, codec, base
+        return base
     except Exception:
         return None
-
-
-@register_rule
-class RegistryVocabRule:
-    rule_id = "registry-vocab"
-    description = "wire codec vocabulary parity with Message subclasses"
-
-    def check_project(self, sources: list[SourceFile]) -> list[Finding]:
-        loaded = _load_live_package()
-        if loaded is None:
-            return []
-        messages, codec, _ = loaded
-        anchors = _ProjectAnchors(sources)
-        return vocab_findings(
-            self.rule_id,
-            _live_subclasses(messages.Message),
-            dict(codec._BIN_KINDS),
-            anchors.anchor,
-        )
 
 
 @register_rule
@@ -363,10 +280,9 @@ class BatchParityRule:
     description = "on_message override must not silently drop a batch fast path"
 
     def check_project(self, sources: list[SourceFile]) -> list[Finding]:
-        loaded = _load_live_package()
-        if loaded is None:
+        base = _load_live_package()
+        if base is None:
             return []
-        _, _, base = loaded
         anchors = _ProjectAnchors(sources)
         return batch_parity_findings(
             self.rule_id,

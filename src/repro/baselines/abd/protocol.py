@@ -39,6 +39,7 @@ class AbdStore(Message):
     nonce: int
     register_id: str = DEFAULT_REGISTER
     write_back: bool = False
+    wire = (64, "write_back:flags nonce:i64 register_id:str tsval:tsval")
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,12 +47,14 @@ class AbdStoreAck(Message):
     nonce: int
     ts: int
     register_id: str = DEFAULT_REGISTER
+    wire = (65, "nonce:i64 4x ts:i64 register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
 class AbdQuery(Message):
     nonce: int
     register_id: str = DEFAULT_REGISTER
+    wire = (66, "nonce:i64 register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +62,7 @@ class AbdQueryAck(Message):
     nonce: int
     tsval: TimestampValue
     register_id: str = DEFAULT_REGISTER
+    wire = (67, "nonce:i64 register_id:str tsval:value")
 
 
 # ---------------------------------------------------------------------------

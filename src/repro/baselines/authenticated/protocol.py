@@ -24,18 +24,21 @@ class AuthStore(Message):
     signed: SignedValue  # signed TimestampValue
     nonce: int
     register_id: str = DEFAULT_REGISTER
+    wire = (68, "nonce:i64 register_id:str signed:signed")
 
 
 @dataclass(frozen=True, slots=True)
 class AuthStoreAck(Message):
     nonce: int
     register_id: str = DEFAULT_REGISTER
+    wire = (69, "nonce:i64 register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
 class AuthQuery(Message):
     nonce: int
     register_id: str = DEFAULT_REGISTER
+    wire = (70, "nonce:i64 register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +46,7 @@ class AuthQueryAck(Message):
     nonce: int
     signed: Optional[SignedValue]
     register_id: str = DEFAULT_REGISTER
+    wire = (71, "nonce:i64 register_id:str signed:signed")
 
 
 class AuthSlot:

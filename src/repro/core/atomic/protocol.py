@@ -28,6 +28,7 @@ class WriteBack(Message):
     nonce: int
     reader_index: int
     register_id: str = DEFAULT_REGISTER
+    wire = (72, "nonce:i64 reader_index:u32 8x register_id:str c:wtuple")
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,6 +36,7 @@ class WriteBackAck(Message):
     nonce: int
     object_index: int
     register_id: str = DEFAULT_REGISTER
+    wire = (73, "nonce:i64 object_index:u32 8x register_id:str")
 
 
 class AtomicObject(RegularObject):

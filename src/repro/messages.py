@@ -13,6 +13,9 @@ Baseline protocols define their own payloads in their subpackages; they all
 derive from :class:`Message` so the simulator and the metrics pipeline treat
 them uniformly.
 
+Every class that travels as a frame declares its kind byte and wire
+layout next to its fields (``wire``, see :mod:`repro.runtime.codec`).
+
 Sizes are *estimates* in bytes computed structurally (integers count 8
 bytes, strings their length, containers the sum of their parts).  Absolute
 values are unimportant; what matters for experiment E6 is the *relative*
@@ -22,7 +25,7 @@ growth of full-history versus suffix-shipping messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .types import (DEFAULT_REGISTER, TimestampValue, TsrArray, WriterTag,
                     WriteTuple, _Bottom, as_tag)
@@ -67,15 +70,9 @@ class Message:
     The base declares empty
     ``__slots__`` so subclasses may opt into slotted layouts (histories
     ship millions of :class:`HistoryEntry` instances).
-
-    ``wire_inline`` marks classes that only ever travel *inside* another
-    message's payload (never as a standalone frame); the static registry
-    check exempts them from codec-vocabulary parity.
     """
 
     __slots__ = ()
-
-    wire_inline: ClassVar[bool] = False
 
     @property
     def kind(self) -> str:
@@ -118,6 +115,7 @@ class Pw(Message):
     w: WriteTuple
     register_id: str = DEFAULT_REGISTER
     wid: int = 0
+    wire = (1, "ts:i64 wid:u32 register_id:str pw:tsval w:wtuple")
 
     @property
     def tag(self) -> WriterTag:
@@ -133,6 +131,7 @@ class PwAck(Message):
     tsr: Tuple[int, ...]
     register_id: str = DEFAULT_REGISTER
     wid: int = 0
+    wire = (3, "ts:i64 wid:u32 object_index:u32 tsr:cells register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +143,7 @@ class W(Message):
     w: WriteTuple
     register_id: str = DEFAULT_REGISTER
     wid: int = 0
+    wire = (2, "ts:i64 wid:u32 register_id:str pw:tsval w:wtuple")
 
     @property
     def tag(self) -> WriterTag:
@@ -158,6 +158,7 @@ class WriteAck(Message):
     object_index: int
     register_id: str = DEFAULT_REGISTER
     wid: int = 0
+    wire = (4, "ts:i64 wid:u32 object_index:u32 register_id:str")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,7 @@ class TagQuery(Message):
 
     nonce: int
     register_id: str = DEFAULT_REGISTER
+    wire = (5, "nonce:i64 register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,6 +190,7 @@ class TagQueryAck(Message):
     epoch: int
     wid: int = 0
     register_id: str = DEFAULT_REGISTER
+    wire = (6, "nonce:i64 object_index:u32 epoch:i64 wid:u32 register_id:str")
 
     @property
     def tag(self) -> WriterTag:
@@ -218,6 +221,7 @@ class LeaseProbe(Message):
     reader_index: int
     wid: int = 0
     register_id: str = DEFAULT_REGISTER
+    wire = (14, "nonce:i64 epoch:i64 wid:u32 reader_index:u32 register_id:str")
 
     @property
     def tag(self) -> WriterTag:
@@ -243,6 +247,8 @@ class LeaseProbeAck(Message):
     holds: bool = False
     fenced: bool = False
     register_id: str = DEFAULT_REGISTER
+    wire = (15, "nonce:i64 object_index:u32 epoch:i64 wid:u32 "
+                "holds|fenced:flags register_id:str")
 
     @property
     def tag(self) -> WriterTag:
@@ -285,6 +291,7 @@ class EpochFence(Message):
     register_id: str = DEFAULT_REGISTER
     hard: bool = False
     lift: bool = False
+    wire = (7, "nonce:i64 epoch:i64 hard|lift:flags register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,6 +302,7 @@ class EpochFenceAck(Message):
     object_index: int
     epoch: int
     register_id: str = DEFAULT_REGISTER
+    wire = (8, "nonce:i64 object_index:u32 epoch:i64 register_id:str")
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,6 +322,8 @@ class WriteFenced(Message):
     wid: int = 0
     nonce: int = 0
     register_id: str = DEFAULT_REGISTER
+    wire = (9, "object_index:u32 epoch:i64 fence_epoch:i64 wid:u32 nonce:i64 "
+                "register_id:str")
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +348,8 @@ class ReadRequest(Message):
     reader_index: int
     from_ts: Optional[WriterTag] = None
     register_id: str = DEFAULT_REGISTER
+    wire = (10, "round_index:u8 tsr:i64 reader_index:u32 from_ts:opt_tag "
+                "register_id:str")
 
     def __post_init__(self) -> None:
         # Normalize legacy bare-epoch suffixes to writer-0 tags so callers
@@ -355,6 +367,8 @@ class ReadAck(Message):
     pw: TimestampValue
     w: WriteTuple
     register_id: str = DEFAULT_REGISTER
+    wire = (11, "round_index:u8 tsr:i64 object_index:u32 register_id:str "
+                "pw:tsval w:wtuple")
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +383,10 @@ class HistoryEntry(Message):
     ``w`` may be ``None`` (the paper's ``nil``) when only the PW round of
     the corresponding write has been observed.  Slotted: histories carry
     one instance per write per object per ack, so the per-instance dict
-    is pure overhead on the hottest allocation path.  ``wire_inline``:
-    entries are encoded as values inside :class:`HistoryReadAck`
-    payloads, never framed standalone.
+    is pure overhead on the hottest allocation path.  Entries travel
+    inside :class:`HistoryReadAck` payloads, never framed standalone, so
+    the class declares no wire layout.
     """
-
-    wire_inline: ClassVar[bool] = True
 
     pw: Optional[TimestampValue]
     w: Optional[WriteTuple]
@@ -395,6 +407,8 @@ class HistoryReadAck(Message):
     object_index: int
     history: Mapping[WriterTag, HistoryEntry]
     register_id: str = DEFAULT_REGISTER
+    wire = (12, "round_index:u8 tsr:i64 object_index:u32 register_id:str "
+                "history:history", "from_tagged")
 
     def __post_init__(self) -> None:
         # Freeze the mapping so acks are hashable and immutable; normalize
@@ -461,6 +475,7 @@ class Batch(Message):
     """
 
     messages: Tuple[Message, ...]
+    wire = (13, "messages:parts")
 
     def __post_init__(self) -> None:
         if any(isinstance(m, Batch) for m in self.messages):

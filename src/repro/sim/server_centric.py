@@ -38,6 +38,7 @@ class PushUpdate(Message):
 
     object_index: int
     tsval: TimestampValue
+    wire = (74, "object_index:i64 tsval:value")
 
 
 class PushFastObject(FastObject):

@@ -42,6 +42,13 @@ def _automata():
     return RegularStorageProtocol().make_objects(CONFIG)
 
 
+def _plain(message_hex):
+    """A message frame given in hex, as a plain frame from writer 0."""
+    message = bytes.fromhex(message_hex)
+    return (bytes([BINARY_MAGIC]) + (len(message) + 5).to_bytes(4, "little")
+            + b"\x00" + b"\x00\x00\x00\x00" + message)
+
+
 def _pw(ts=1, register_id="k"):
     tsval = TimestampValue(ts, f"v{ts}")
     tsr = TsrArray(tuple((0,) * CONFIG.num_readers
@@ -248,6 +255,14 @@ class TestMalformedInbound:
             {"role": "reader", "index": 0},
             '{"__kind": "ReadRequest", "k": "x", "tsr": 1, "j": 0, '
             '"from_ts": null, "r": "k"}'),
+        # extension kinds cut short used to escape as IndexError
+        "empty AbdStore body": _plain("b140"),
+        "AuthStore cut before its signed flag": _plain(
+            "b1440200000000000000ff020000007230"),
+        "AuthQueryAck cut before its signed flag": _plain(
+            "b1470200000000000000ff020000007230"),
+        # ... and batches nested past the recursion limit as RecursionError
+        "batches nested 2000 deep": _plain("b1" + "0d01000000" * 2000),
     }
 
     @pytest.mark.parametrize("name", sorted(BLOBS))

@@ -10,7 +10,7 @@ from repro.core.atomic import WriteBack, WriteBackAck
 from repro.crypto_sim import Signer
 from repro.errors import TransportError
 from repro.runtime import codec
-from repro.runtime.codec import (_S_I64, decode_message_binary,
+from repro.runtime.codec import (decode_message_binary,
                                  encode_message_binary, register_binary_codec)
 from repro.types import (TimestampValue, TsrArray, WriteTuple,
                          initial_write_tuple)
@@ -76,20 +76,44 @@ class TestRegisterCodec:
         @dataclass(frozen=True)
         class Probe(Message):
             seq: int
+            label: str = ""
+            wire = (120, "seq:i64 label:str")
 
-        def encode(buf, m, strings):
-            buf += _S_I64.pack(m.seq)
+        register_binary_codec(Probe)
+        roundtrip(Probe(seq=42, label="p"))
+        # re-registering the same declaration is idempotent ...
+        register_binary_codec(Probe)
 
-        def decode(data, pos, strings):
-            return Probe(seq=_S_I64.unpack_from(data, pos)[0]), pos + 8
-
-        register_binary_codec(Probe, 120, encode, decode)
-        roundtrip(Probe(seq=42))
-        # re-registering the same binding is idempotent ...
-        register_binary_codec(Probe, 120, encode, decode)
         # ... but a kind byte already bound elsewhere is refused
+        @dataclass(frozen=True)
+        class Clash(Message):
+            seq: int
+            wire = (64, "seq:i64")
+
         with pytest.raises(TransportError):
-            register_binary_codec(Probe, 64, encode, decode)
+            register_binary_codec(Clash)
+
+    @pytest.mark.parametrize("layout", [
+        "seq:i64",                  # a field left out
+        "seq:i64 label:str seq:i64",  # a field twice
+        "seq:i64 label:varint",     # no such field codec
+        "seq:i64 label:str 4",      # padding without its x
+    ])
+    def test_bad_declarations_refused(self, monkeypatch, layout):
+        for table in ("_BIN_ENCODERS", "_BIN_DECODERS", "_BIN_KINDS"):
+            monkeypatch.setattr(codec, table, dict(getattr(codec, table)))
+        from dataclasses import dataclass
+        from repro.messages import Message
+
+        @dataclass(frozen=True)
+        class Probe(Message):
+            seq: int
+            label: str = ""
+            wire = (121, layout)
+
+        with pytest.raises(TransportError):
+            register_binary_codec(Probe)
+        assert 121 not in codec._BIN_DECODERS
 
 
 class TestFenceCodecs:

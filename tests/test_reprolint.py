@@ -4,11 +4,10 @@ Three layers:
 
 * fixture-based self-tests -- for every rule, a known-bad snippet must
   flag and a known-good snippet must pass;
-* a meta-test asserting the shipped tree is reprolint-clean, plus a
-  kind-byte stability snapshot of the binary codec registry;
+* a meta-test asserting the shipped tree is reprolint-clean;
 * regression tests for the true-positive findings this lint surfaced
-  (slots sweep, PushUpdate codec, claim-first lifecycle flags,
-  serialized TCP reconnects, executor'd blocking calls).
+  (slots sweep, claim-first lifecycle flags, serialized TCP reconnects,
+  executor'd blocking calls).
 """
 
 import asyncio
@@ -21,8 +20,7 @@ from repro.analysis import core as lint_core
 from repro.analysis import cli as lint_cli
 from repro.analysis.rules_chaos import strategy_registry_findings
 from repro.analysis.rules_registry import (_is_canonical, _live_subclasses,
-                                           batch_parity_findings,
-                                           vocab_findings)
+                                           batch_parity_findings)
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -371,54 +369,6 @@ class TestBatchDispatch:
         assert findings == []
 
 
-class TestVocabFindings:
-    """The dynamic vocabulary check against synthetic universes."""
-
-    def _anchor(self, cls):
-        return ("fake.py", 1)
-
-    def test_unregistered_class_flagged(self):
-        class Lost:
-            pass
-
-        found = vocab_findings("registry-vocab", {Lost}, {}, self._anchor)
-        assert len(found) == 1 and "Lost" in found[0].message
-
-    def test_wire_inline_exempt(self):
-        class Inline:
-            wire_inline = True
-
-        found = vocab_findings("registry-vocab", {Inline}, {}, self._anchor)
-        assert found == []
-
-    def test_fully_registered_passes(self):
-        class Ok:
-            pass
-
-        found = vocab_findings("registry-vocab", {Ok}, {Ok: 99}, self._anchor)
-        assert found == []
-
-    def test_duplicate_kind_byte_flagged(self):
-        class A:
-            pass
-
-        class B:
-            pass
-
-        found = vocab_findings("registry-vocab", {A, B}, {A: 7, B: 7},
-                               self._anchor)
-        assert len(found) == 2
-        assert all("kind byte 7" in f.message for f in found)
-
-    def test_registered_non_message_flagged(self):
-        class Stranger:
-            pass
-
-        found = vocab_findings("registry-vocab", set(), {Stranger: 5},
-                               self._anchor)
-        assert any("not a Message subclass" in f.message for f in found)
-
-
 class TestChaosStrategyFindings:
     """The chaos-strategy-registry check against synthetic wrapper sets."""
 
@@ -531,37 +481,12 @@ class TestShippedTree:
         findings = lint_core.run_analysis([SRC, REPO / "benchmarks"])
         assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 
-    def test_kind_byte_registry_snapshot(self):
-        """A reused or silently renumbered kind byte is a wire break."""
-        import repro.runtime.codec as codec
-        import repro.baselines.abd.protocol  # noqa: F401  (registration)
-        import repro.sim.server_centric  # noqa: F401
-
-        expected = {
-            # core vocabulary (kinds < 64 are reserved for it)
-            "Pw": 1, "W": 2, "PwAck": 3, "WriteAck": 4,
-            "TagQuery": 5, "TagQueryAck": 6,
-            "EpochFence": 7, "EpochFenceAck": 8, "WriteFenced": 9,
-            "ReadRequest": 10, "ReadAck": 11, "HistoryReadAck": 12,
-            "Batch": 13, "LeaseProbe": 14, "LeaseProbeAck": 15,
-            # extension vocabularies (>= 64)
-            "AbdStore": 64, "AbdStoreAck": 65,
-            "AbdQuery": 66, "AbdQueryAck": 67,
-            "AuthStore": 68, "AuthStoreAck": 69,
-            "AuthQuery": 70, "AuthQueryAck": 71,
-            "WriteBack": 72, "WriteBackAck": 73,
-            "PushUpdate": 74,
-        }
-        actual = {cls.__name__: kind
-                  for cls, kind in codec._BIN_KINDS.items()}
-        assert actual == expected
-
     def test_every_message_subclass_is_slotted(self):
         import repro.messages as messages
 
-        # walk_packages via the vocab rule has already imported the
-        # protocol modules in the clean-tree test; import the stragglers
-        # explicitly so this test stands alone too.
+        # walk_packages via the batch-parity rule has already imported
+        # the protocol modules in the clean-tree test; import the
+        # stragglers explicitly so this test stands alone too.
         import repro.baselines.abd.protocol  # noqa: F401
         import repro.baselines.authenticated.protocol  # noqa: F401
         import repro.core.atomic.protocol  # noqa: F401
@@ -591,21 +516,6 @@ class TestShippedTree:
 # ---------------------------------------------------------------------------
 # regression tests for fixed findings
 # ---------------------------------------------------------------------------
-
-
-class TestPushUpdateCodec:
-    """PushUpdate was a registered-nowhere wire message (registry-vocab)."""
-
-    def test_binary_roundtrip(self):
-        from repro.runtime.codec import (decode_message_binary,
-                                         encode_message_binary)
-        from repro.sim.server_centric import PushUpdate
-        from repro.types import BOTTOM, TimestampValue
-
-        for tsval in (TimestampValue(7, "v7", wid=2),
-                      TimestampValue(0, BOTTOM)):
-            m = PushUpdate(object_index=5, tsval=tsval)
-            assert decode_message_binary(encode_message_binary(m)) == m
 
 
 class TestHarnessClock:

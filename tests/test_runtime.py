@@ -10,12 +10,13 @@ from repro.core.regular import RegularStorageProtocol
 from repro.core.safe import SafeStorageProtocol
 from repro.errors import TransportError
 from repro.messages import (HistoryEntry, HistoryReadAck, Pw, PwAck, ReadAck,
-                            ReadRequest, W, WriteAck)
+                            ReadRequest, TagQuery, W, WriteAck)
 from repro.runtime import AsyncStorage, TcpObjectServer, TcpStorageClient
 from repro.runtime.codec import (BINARY_MAGIC, decode_message_binary,
                                  encode_message_binary)
 from repro.types import (BOTTOM, INITIAL_TSVAL, TimestampValue, TsrArray,
-                         WRITER, WriteTuple, initial_write_tuple, reader)
+                         WRITER, WriterTag, WriteTuple, initial_write_tuple,
+                         reader)
 
 
 def run(coro):
@@ -75,9 +76,21 @@ class TestCodec:
             with pytest.raises(TransportError):
                 decode_message_binary(wire)
 
-    def test_unregistered_type_rejected(self):
-        with pytest.raises(TransportError):
-            encode_message_binary(("tuple", "payload"))
+    @pytest.mark.parametrize("message, field", [
+        (("tuple", "payload"), None),
+        # unencodable fields: a TransportError naming class and field,
+        # never a struct.error
+        (TagQuery(nonce=2**63), "TagQuery.nonce"),
+        (ReadRequest(round_index=300, tsr=1, reader_index=0),
+         "ReadRequest.round_index"),
+        (ReadRequest(round_index=1, tsr=1, reader_index=0,
+                     from_ts=WriterTag(2**63 - 1, 0)), "ReadRequest.from_ts"),
+        (PwAck(ts=1, object_index=0, tsr=(2**63,)), "PwAck.tsr"),
+    ], ids=["tuple", "nonce", "round_index", "from_ts_epoch", "tsr_cell"])
+    def test_unregistered_type_rejected(self, message, field):
+        with pytest.raises(TransportError) as excinfo:
+            encode_message_binary(message)
+        assert field is None or field in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
