@@ -264,9 +264,9 @@ class Session:
                     # read lease minted from it.  Drop the lease so the
                     # caller's recovery read goes through classic rounds
                     # and re-arms on fresh evidence.
-                    invalidate = getattr(kv, "invalidate_leases", None)
-                    if invalidate is not None:
-                        invalidate([key])
+                    drop = getattr(kv, "drop_leases", None)
+                    if drop is not None:
+                        drop([key])
                     raise PreconditionFailedError(
                         f"put_if({key!r}) expected tag "
                         f"{None if expected == TAG0 else expected} but "

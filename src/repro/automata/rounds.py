@@ -12,7 +12,8 @@ freshness key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generic, List, Optional, Set, TypeVar
+from typing import (Any, Callable, Dict, Generic, Iterable, List, Optional,
+                    Set, TypeVar)
 
 from ..types import TAG0, WriterTag
 
@@ -110,16 +111,17 @@ class TagDiscovery:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TagLease:
     """A certified ``(tag, value)`` a reader may try to fast-read from.
 
     A lease is *granted* only from quorum-held evidence: a completed write
     ack, an atomic read (post write-back), a regular read on a regular
-    cluster, or a certified snapshot collect.  Holding one entitles the
+    cluster, or a certified snapshot collect.  Holding one entitles a
     reader to attempt a single-round :class:`~repro.messages.LeaseProbe`
     instead of full history collection; it guarantees nothing by itself --
-    the probe round re-certifies freshness against a live quorum.
+    the probe round re-certifies freshness against a live quorum, so it
+    does not matter which reader (or writer) earned it.
 
     ``failures`` drives contention adaptivity: consecutive fallbacks grow
     an exponential backoff of classic reads that skip the probe entirely,
@@ -155,6 +157,52 @@ class TagLease:
             self.skips_left -= 1
             return False
         return True
+
+
+class LeaseTable:
+    """One :class:`TagLease` per register, shared by every reader of a pool.
+
+    Granting is one dict lookup plus at most one allocation, so a write
+    arms the fast path for readers that have never touched the register.
+    Invalidation drops the entry itself; ``invalidations`` counts each
+    dropped lease once.  Grants are refused while ``enabled`` is off.
+    """
+
+    __slots__ = ("enabled", "leases", "invalidations")
+
+    def __init__(self) -> None:
+        self.enabled = False
+        self.leases: Dict[str, TagLease] = {}
+        self.invalidations = 0
+
+    def grant(self, register_id: str, tag: Optional[WriterTag],
+              value: Any) -> None:
+        """Adopt certified evidence for one register (monotone)."""
+        if not self.enabled or tag is None or tag == TAG0:
+            return
+        lease = self.leases.get(register_id)
+        if lease is None:
+            self.leases[register_id] = TagLease(tag, value)
+        else:
+            lease.refresh(tag, value)
+
+    def to_probe(self, register_id: str) -> Optional[TagLease]:
+        """The lease a read of ``register_id`` should probe (backoff-gated)."""
+        lease = self.leases.get(register_id)
+        if lease is not None and lease.should_probe():
+            return lease
+        return None
+
+    def drop(self, register_ids: Optional[Iterable[str]] = None) -> None:
+        """Drop the leases of ``register_ids`` (all if None): the next read
+        of each runs the classic rounds and re-earns a lease from them."""
+        if register_ids is None:
+            self.invalidations += len(self.leases)
+            self.leases.clear()
+            return
+        for register_id in register_ids:
+            if self.leases.pop(register_id, None) is not None:
+                self.invalidations += 1
 
 
 class LeaseValidation:

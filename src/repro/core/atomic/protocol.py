@@ -100,8 +100,7 @@ class AtomicReadOperation(RegularReadOperation):
                 # Write-back reached a quorum: the chosen tuple is now
                 # quorum-held, which is exactly the certification a lease
                 # needs under *atomic* semantics.
-                self.state.grant_lease(self._chosen.tag,
-                                       self._chosen.tsval.value)
+                self._grant(self._chosen.tag, self._chosen.tsval.value)
                 self.complete(self._chosen.tsval.value)
             return
         super().advance(sink, leftovers)

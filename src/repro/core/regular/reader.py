@@ -18,11 +18,11 @@ Two reader flavours share the implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ...automata.base import ClientOperation, Outgoing, Sink
-from ...automata.rounds import LeaseValidation, TagLease
+from ...automata.rounds import LeaseTable, LeaseValidation, TagLease
 from ...config import SystemConfig
 from ...errors import ProtocolError
 from ...messages import HistoryReadAck, LeaseProbe, LeaseProbeAck, ReadRequest
@@ -49,11 +49,13 @@ class RegularReaderState:
     ``cache_tag`` is the write tag of the last value this reader vouched
     for (``(ts, 0)`` in single-writer systems).
 
-    ``lease`` and ``fast_reads`` drive the contention-adaptive fast path:
-    when ``fast_reads`` is enabled (service tier opt-in; the core library
-    defaults off so figure-exact round counts stay put), completed reads
-    and service-layer write acks grant a :class:`TagLease` here, and the
-    next read attempts a single-round probe against it.
+    ``leases`` drives the contention-adaptive fast path.  It is the
+    owning :class:`~repro.protocols.RegisterClientStates` pool's shared
+    :class:`LeaseTable`, attached when the service tier enables fast
+    reads (the core library leaves it ``None`` so figure-exact round
+    counts stay put).  Completed reads grant into it, and so do write
+    acks and snapshot cuts of the pool; a read holding an entry for its
+    register attempts a single-round probe first.
     """
 
     config: SystemConfig
@@ -61,11 +63,7 @@ class RegularReaderState:
     tsr: int = 0
     cache_tag: WriterTag = TAG0
     cache_value: Any = BOTTOM
-    fast_reads: bool = False
-    lease: Optional[TagLease] = None
-    #: lease invalidations (fences, reconfig flips, put_if misses) --
-    #: surfaced through the host/store efficacy counters.
-    lease_invalidations: int = 0
+    leases: Optional[LeaseTable] = None
 
     @property
     def cache_ts(self) -> int:
@@ -77,31 +75,6 @@ class RegularReaderState:
             raise ProtocolError(
                 f"reader index {self.reader_index} out of range for "
                 f"R={self.config.num_readers}")
-
-    # -- tag leases ------------------------------------------------------
-    def grant_lease(self, tag: Optional[WriterTag], value: Any) -> None:
-        """Adopt certified evidence; no-op unless fast reads are on."""
-        if not self.fast_reads or tag is None or tag == TAG0:
-            return
-        if self.lease is None:
-            self.lease = TagLease(tag=tag, value=value)
-        else:
-            self.lease.refresh(tag, value)
-
-    def invalidate_lease(self) -> None:
-        """Drop the lease outright (fence observed, routing flip, stale
-        conditional write): the next read runs the classic rounds and
-        re-earns a lease from their evidence."""
-        if self.lease is not None:
-            self.lease = None
-            self.lease_invalidations += 1
-
-    def lease_to_probe(self) -> Optional[TagLease]:
-        """The lease the next read should probe, if any (backoff-gated)."""
-        lease = self.lease if self.fast_reads else None
-        if lease is not None and lease.should_probe():
-            return lease
-        return None
 
 
 class RegularReadOperation(ClientOperation):
@@ -119,13 +92,13 @@ class RegularReadOperation(ClientOperation):
             elimination_threshold=elimination_threshold(self.config),
             confirmation_threshold=confirmation_threshold(self.config),
         )
-        #: the lease this read probes, or None for a classic-only read.
-        self.lease = state.lease_to_probe()
+        #: the lease this read probes (picked at start, once the register
+        #: id is stamped), or None for a classic-only read.
+        self.lease: Optional[TagLease] = None
         self.validation: Optional[LeaseValidation] = None
-        self.phase = PHASE_PROBE if self.lease is not None else PHASE_ROUND1
+        self.phase = PHASE_ROUND1
         self.tsr_first_round: int = 0
         #: fast-path efficacy flags, aggregated by the host counters.
-        self.fast_attempted = self.lease is not None
         self.fast_hit = False
         self.fell_back = False
         #: history entries received, for the E6 message-size accounting
@@ -148,13 +121,22 @@ class RegularReadOperation(ClientOperation):
 
     # -- vector rounds (native) ------------------------------------------
     def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
-        if self.phase == PHASE_PROBE:
+        leases = self.state.leases
+        if leases is not None:
+            self.lease = leases.to_probe(self.register_id)
+        if self.lease is not None:
             sink.append(self._begin_probe())
         else:
             sink.append(self._begin_classic())
 
+    def _grant(self, tag: WriterTag, value: Any) -> None:
+        """Share certified evidence with every reader of the pool."""
+        if self.state.leases is not None:
+            self.state.leases.grant(self.register_id, tag, value)
+
     def _begin_probe(self) -> LeaseProbe:
         """Phase 0: one broadcast validating the lease against a quorum."""
+        self.phase = PHASE_PROBE
         self.state.tsr += 1
         self.begin_round()
         tag = self.lease.tag
@@ -249,7 +231,7 @@ class RegularReadOperation(ClientOperation):
         if any(ack.fenced for ack in validation.collector.acks.values()):
             # A fence means the register is mid-handoff here; the lease
             # may point into a retired replica set, so drop it outright.
-            self.state.invalidate_lease()
+            self.state.leases.drop((self.register_id,))
         sink.append(self._begin_classic())
 
     # ------------------------------------------------------------------
@@ -314,7 +296,7 @@ class RegularReadOperation(ClientOperation):
             # A classic read's confirmed candidate is exactly the certified
             # evidence a lease needs (regular semantics here; the atomic
             # extension grants only after write-back).
-            self.state.grant_lease(candidate.tag, value)
+            self._grant(candidate.tag, value)
             self.complete(value)
             return
         if self.cached and self.evidence.candidates_empty():

@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, List, Tuple
 
 from .automata.base import ClientOperation, ObjectAutomaton
+from .automata.rounds import LeaseTable
 from .config import SystemConfig
 from .types import DEFAULT_REGISTER
 
@@ -41,7 +42,7 @@ class StorageProtocol(ABC):
     #: Whether this protocol's reader states understand tag leases (the
     #: contention-adaptive fast-read path).  Opt-in per deployment: even
     #: capable protocols run classic-only unless the service tier enables
-    #: ``fast_reads`` on the reader states.
+    #: fast reads on its :class:`RegisterClientStates` pool.
     supports_fast_reads: bool = False
 
     def write_rounds_bound(self, config: SystemConfig) -> int:
@@ -151,6 +152,11 @@ class RegisterClientStates:
     service store) needs the same bookkeeping: one writer state per
     register and one reader state per (register, reader), created on
     first use.  This owns it once.
+
+    It also owns the tag leases of the fast-read path: one
+    :class:`~repro.automata.rounds.LeaseTable` entry per register, which
+    every reader state of the pool reads through once fast reads are on
+    (service-tier opt-in on a capable protocol).
     """
 
     def __init__(self, protocol: StorageProtocol, config: SystemConfig):
@@ -158,9 +164,7 @@ class RegisterClientStates:
         self.config = config
         self._writers: Dict[Tuple[str, int], Any] = {}
         self._readers: Dict[Tuple[str, int], Any] = {}
-        #: when set (service-tier opt-in on a capable protocol), reader
-        #: states are created with the fast-read path enabled.
-        self.fast_reads = False
+        self.leases = LeaseTable()
 
     def enable_fast_reads(self) -> None:
         """Turn the lease-probe fast path on for this pool's readers."""
@@ -168,17 +172,9 @@ class RegisterClientStates:
             from .errors import ConfigurationError
             raise ConfigurationError(
                 f"{self.protocol.name} does not support fast reads")
-        self.fast_reads = True
+        self.leases.enabled = True
         for state in self._readers.values():
-            state.fast_reads = True
-
-    def reader_states_of(self, register_id: str) -> List[Any]:
-        """Existing reader states of one register (no lazy creation)."""
-        return [state for (rid, _), state in self._readers.items()
-                if rid == register_id]
-
-    def all_reader_states(self) -> List[Any]:
-        return list(self._readers.values())
+            state.leases = self.leases
 
     def writer(self, register_id: str = DEFAULT_REGISTER,
                writer_index: int = 0) -> Any:
@@ -196,8 +192,8 @@ class RegisterClientStates:
         if state is None:
             state = self._readers[key] = \
                 self.protocol.make_reader_state(self.config, reader_index)
-            if self.fast_reads:
-                state.fast_reads = True
+            if self.leases.enabled:
+                state.leases = self.leases
         return state
 
     def registers(self) -> List[str]:

@@ -258,10 +258,10 @@ class ShardedKVStore:
         # were replayed into their new shard group at strictly larger
         # tags, so a lease minted against the old placement could serve a
         # value the handoff has already superseded.  Dropping all leases
-        # is coarse but the flip is rare; readers re-arm on their next
-        # classic read.
+        # is coarse but the flip is rare; the next write or classic read
+        # of each key re-arms it.
         for shard in shards.values():
-            shard.invalidate_leases()
+            shard.drop_leases()
 
     # -- KV API -------------------------------------------------------------
     async def put(self, key: str, value: Any,
@@ -288,10 +288,10 @@ class ShardedKVStore:
                                   writer_index=writer_index)
                 return
             except FencedWriteError:
-                # The key is mid-handoff: any lease this shard group's
-                # readers hold on it describes pre-fence state, and the
-                # retry may land on a different group entirely.
-                store.invalidate_leases([key])
+                # The key is mid-handoff: any lease this shard group holds
+                # on it describes pre-fence state, and the retry may land
+                # on a different group entirely.
+                store.drop_leases([key])
                 if retries <= 0:
                     raise
                 retries -= 1
@@ -409,19 +409,18 @@ class ShardedKVStore:
                        else fetched[key][0]), fetched[key][1])
                 for key in ordered}
 
-    def invalidate_leases(self,
-                          register_ids: Optional[Iterable[str]] = None
-                          ) -> None:
+    def drop_leases(self, register_ids: Optional[Iterable[str]] = None
+                    ) -> None:
         """Drop read leases cluster-wide, or for specific keys (routed)."""
         if register_ids is None:
             for shard in self.shards.values():
-                shard.invalidate_leases()
+                shard.drop_leases()
             return
         by_shard: Dict[int, List[str]] = {}
         for key in register_ids:
             by_shard.setdefault(self.shard_for(key), []).append(key)
         for shard, chunk in by_shard.items():
-            self.shards[shard].invalidate_leases(chunk)
+            self.shards[shard].drop_leases(chunk)
 
     def grant_read_leases(
             self, entries: Mapping[str, Tuple[Optional[WriterTag], Any]]

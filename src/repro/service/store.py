@@ -185,7 +185,7 @@ class MultiRegisterStore:
     # -- tag leases (fast reads) ---------------------------------------------
     @property
     def fast_reads(self) -> bool:
-        return self._states.fast_reads
+        return self._states.leases.enabled
 
     def enable_fast_reads(self) -> None:
         """Turn the lease-probe fast path on (capable protocols only)."""
@@ -193,34 +193,17 @@ class MultiRegisterStore:
 
     def disable_fast_reads(self) -> None:
         """Classic-only reads from here on; existing leases are dropped."""
-        self._states.fast_reads = False
-        for state in self._states.all_reader_states():
-            state.fast_reads = False
-            state.lease = None
+        self._states.leases.enabled = False
+        self._states.leases.leases.clear()
 
-    def invalidate_leases(self, register_ids: Optional[Iterable[str]] = None
-                          ) -> None:
-        """Drop reader leases (all registers, or just ``register_ids``).
+    def drop_leases(self, register_ids: Optional[Iterable[str]] = None
+                    ) -> None:
+        """Drop read leases (all registers, or just ``register_ids``).
 
         Called on routing flips and fence-aborted writes: a lease earned
         under the old configuration may point into a retired replica set.
         """
-        if register_ids is None:
-            states = self._states.all_reader_states()
-        else:
-            states = [state for rid in register_ids
-                      for state in self._states.reader_states_of(rid)]
-        for state in states:
-            invalidate = getattr(state, "invalidate_lease", None)
-            if invalidate is not None:
-                invalidate()
-
-    def _grant_write_lease(self, register_id: str, tag, value: Any) -> None:
-        """A completed write's ack certifies (tag, value) quorum-held."""
-        if not self._states.fast_reads or tag is None:
-            return
-        for state in self._states.reader_states_of(register_id):
-            state.grant_lease(tag, value)
+        self._states.leases.drop(register_ids)
 
     def grant_read_leases(
             self, entries: Mapping[str, Tuple[Any, Any]]) -> None:
@@ -228,29 +211,22 @@ class MultiRegisterStore:
 
         The caller vouches that each pair was returned by a *completed*
         read (e.g. a snapshot's confirming collect), which is exactly the
-        evidence :meth:`~repro.core.regular.reader.RegularReaderState.
-        grant_lease` encodes; grants are monotone, so a stale entry is a
-        no-op.
+        evidence a lease needs; grants are monotone, so a stale entry is
+        a no-op.
         """
-        if not self._states.fast_reads:
-            return
+        grant = self._states.leases.grant
         for register_id, (tag, value) in entries.items():
-            if tag is None:
-                continue
-            for state in self._states.reader_states_of(register_id):
-                state.grant_lease(tag, value)
+            grant(register_id, tag, value)
 
     def stats(self) -> Dict[str, Any]:
         """Operational counters (first slice of the observability item)."""
         hosts = list(self._writer_hosts.values()) + self._reader_hosts
         return {
-            "fast_reads_enabled": self._states.fast_reads,
+            "fast_reads_enabled": self._states.leases.enabled,
             "fast_reads_taken": sum(h.fast_reads_taken for h in hosts),
             "fast_read_fallbacks": sum(h.fast_read_fallbacks
                                        for h in hosts),
-            "lease_invalidations": sum(
-                getattr(s, "lease_invalidations", 0)
-                for s in self._states.all_reader_states()),
+            "lease_invalidations": self._states.leases.invalidations,
             "messages_sent": self.network.messages_sent,
         }
 
@@ -264,7 +240,8 @@ class MultiRegisterStore:
             register_id)
         result = await self._writer_host(writer_index).run(
             operation, timeout or self.default_timeout, record=record)
-        self._grant_write_lease(register_id, operation.tag, value)
+        # The completed write's ack certifies (tag, value) quorum-held.
+        self._states.leases.grant(register_id, operation.tag, value)
         return result
 
     async def write_tagged(self, register_id: str, value: Any,
@@ -284,7 +261,7 @@ class MultiRegisterStore:
             register_id)
         result = await self._writer_host(writer_index).run(
             operation, timeout or self.default_timeout, record=record)
-        self._grant_write_lease(register_id, operation.tag, value)
+        self._states.leases.grant(register_id, operation.tag, value)
         return result, operation.tag
 
     async def read(self, register_id: str, reader_index: int = 0,
@@ -336,10 +313,11 @@ class MultiRegisterStore:
         ]
         results = await self._writer_host(writer_index).run_many(
             operations, timeout or self.default_timeout)
-        if self._states.fast_reads:
+        leases = self._states.leases
+        if leases.enabled:
             for operation, (register_id, value) in zip(operations,
                                                        items.items()):
-                self._grant_write_lease(register_id, operation.tag, value)
+                leases.grant(register_id, operation.tag, value)
         return dict(zip(items.keys(), results))
 
     async def read_many(self, register_ids: Iterable[str],

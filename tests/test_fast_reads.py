@@ -9,20 +9,24 @@ Byzantine replica vouching for stale leases.
 """
 
 import asyncio
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.byzantine import StaleTagForger
-from repro.automata.rounds import LeaseValidation, TagLease
+from repro.api import Cluster
+from repro.automata.rounds import LeaseTable, LeaseValidation, TagLease
 from repro.config import SystemConfig
+from repro.core.atomic.protocol import AtomicStorageProtocol
 from repro.core.regular import (CachedRegularStorageProtocol, RegularObject,
                                 RegularStorageProtocol)
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FencedWriteError
 from repro.messages import LeaseProbe, LeaseProbeAck
 from repro.service import MultiRegisterStore, ShardedKVStore
-from repro.spec import check_fast_read_freshness, check_mwmr_atomicity
+from repro.spec import (check_fast_read_freshness, check_mwmr_atomicity,
+                        check_per_register)
 from repro.types import TAG0, BOTTOM, WriterTag
 
 
@@ -69,6 +73,32 @@ class TestTagLease:
         assert not lease.should_probe()
         assert not lease.should_probe()
         assert lease.should_probe()
+
+
+class TestLeaseTable:
+    def test_grants_only_certified_tags_while_enabled(self):
+        table = LeaseTable()
+        table.grant("k", WriterTag(1, 0), "v")
+        assert table.leases == {}              # fast reads off
+        table.enabled = True
+        table.grant("k", TAG0, BOTTOM)
+        table.grant("k", None, "v")
+        assert table.leases == {}              # nothing certified
+        table.grant("k", WriterTag(2, 0), "v2")
+        table.grant("k", WriterTag(1, 1), "old")
+        lease = table.to_probe("k")
+        assert (lease.tag, lease.value) == (WriterTag(2, 0), "v2")
+        assert table.to_probe("other") is None
+
+    def test_drop_counts_each_dropped_lease_once(self):
+        table = LeaseTable()
+        table.enabled = True
+        for key in ("a", "b", "c"):
+            table.grant(key, WriterTag(1, 0), key)
+        table.drop(["a", "a", "missing"])
+        assert table.invalidations == 1
+        table.drop()
+        assert table.invalidations == 3 and table.leases == {}
 
 
 class TestLeaseValidation:
@@ -166,29 +196,48 @@ class TestLeaseProbeReplies:
 
 
 class TestFastReadPath:
-    def test_second_read_goes_fast_with_fewer_messages(self, config):
+    def test_first_read_after_write_is_fast_at_two_s_messages(self, config):
+        """The write's ack arms the lease for every reader of the store,
+        so even a reader that never touched the key probes: one round,
+        ``S`` probes out and ``S`` acks back."""
         async def scenario():
             async with fast_store(config, record_history=True) as store:
                 await store.write("k", "v1")
-                before = store.network.messages_sent
-                first = await store.read("k")      # classic, arms lease
-                classic_cost = store.network.messages_sent - before
-                before = store.network.messages_sent
-                second = await store.read("k")     # probe round only
-                fast_cost = store.network.messages_sent - before
-                return (first, second, classic_cost, fast_cost,
-                        store.stats(), store.history)
+                costs = []
+                for reader_index in (1, 0):
+                    before = store.network.messages_sent
+                    assert await store.read("k", reader_index) == "v1"
+                    costs.append(store.network.messages_sent - before)
+                return costs, store.stats(), store.history
 
-        first, second, classic_cost, fast_cost, stats, history = \
-            run(scenario())
-        assert (first, second) == ("v1", "v1")
-        assert fast_cost < classic_cost  # the whole point of the probe
-        assert stats["fast_reads_taken"] == 1
+        costs, stats, history = run(scenario())
+        assert costs == [2 * config.num_objects] * 2
+        assert stats["fast_reads_taken"] == 2
         assert stats["fast_read_fallbacks"] == 0
+        assert all(op.rounds_used == 1 for op in history.reads())
         check_mwmr_atomicity(history).assert_ok()
         freshness = check_fast_read_freshness(history)
         freshness.assert_ok()
-        assert freshness.checked_reads == 1
+        assert freshness.checked_reads == 2
+
+    def test_never_written_key_reads_classic(self, config):
+        """``TAG0`` grants nothing: neither the first read of a fresh key
+        nor any later one has a lease to probe."""
+        async def scenario():
+            async with fast_store(config) as store:
+                before = store.network.messages_sent
+                first = await store.read("k")
+                classic_cost = store.network.messages_sent - before
+                second = await store.read("k")
+                return (first, second, classic_cost, store.stats(),
+                        dict(store._states.leases.leases))
+
+        first, second, classic_cost, stats, leases = run(scenario())
+        assert first is BOTTOM and second is BOTTOM
+        assert classic_cost > 2 * config.num_objects
+        assert stats["fast_reads_taken"] == 0
+        assert stats["fast_read_fallbacks"] == 0
+        assert leases == {}
 
     def test_write_refreshes_lease_to_new_value(self, config):
         async def scenario():
@@ -201,7 +250,7 @@ class TestFastReadPath:
 
         value, stats = run(scenario())
         assert value == "v2"
-        assert stats["fast_reads_taken"] == 1
+        assert stats["fast_reads_taken"] == 2
 
     def test_fast_reads_disabled_by_default(self, config):
         async def scenario():
@@ -227,8 +276,7 @@ class TestFastReadPath:
         to classic rounds and the lease is dropped."""
         async def scenario():
             async with fast_store(config) as store:
-                await store.write("k", "v1")
-                await store.read("k")
+                await store.write("k", "v1")   # arms the lease
                 for i in range(config.num_objects):
                     store.object_automaton(i).hard_fences.add("k")
                 value = await store.read("k")
@@ -246,8 +294,7 @@ class TestFastReadPath:
         confirmations and the read falls back."""
         async def scenario():
             async with fast_store(config) as store:
-                await store.write("k", "v1")
-                await store.read("k")  # lease armed
+                await store.write("k", "v1")  # lease armed
                 for i in range(config.num_objects):
                     store.replace_object(i, RegularObject(i, config))
                 await store.read("k")
@@ -263,13 +310,12 @@ class TestFastReadPath:
         async def scenario():
             async with fast_store(config, record_history=True) as store:
                 await store.write("k", "v1")
-                await store.read("k")
-                state = store._states.reader("k", 0)
-                stale_tag = state.lease.tag
+                leases = store._states.leases.leases
+                stale_tag = leases["k"].tag
                 await store.write("k", "v2")
-                # Rewind the reader to a genuinely stale lease (as if it
+                # Rewind the table to a genuinely stale lease (as if it
                 # had missed the second write's grant).
-                state.lease = TagLease(tag=stale_tag, value="v1")
+                leases["k"] = TagLease(tag=stale_tag, value="v1")
                 store.make_byzantine(0, StaleTagForger(
                     store.object_automaton(0), config,
                     forged_tag=stale_tag, forged_value="v1"))
@@ -323,20 +369,46 @@ class TestShardedLeases:
         assert stats["fast_reads_taken"] >= 8  # second get of each key
         assert set(stats["per_shard"]) == {0, 1}
 
+    @staticmethod
+    def _held(kv):
+        return {key for shard in kv.shards.values()
+                for key in shard._states.leases.leases}
+
     def test_routing_flip_drops_all_leases(self, config):
         async def scenario():
             async with ShardedKVStore(CachedRegularStorageProtocol, config,
                                       num_shards=2,
                                       fast_reads=True) as kv:
                 await kv.put("key:0", "v")
-                await kv.get("key:0")   # arms a lease somewhere
+                await kv.put("key:1", "v")
+                await kv.get("key:0")
+                before = self._held(kv)
                 kv.apply_reconfiguration(kv.ring, dict(kv.shards))
-                held = [state.lease
-                        for shard in kv.shards.values()
-                        for state in shard._states.all_reader_states()]
-                return held
+                return before, self._held(kv), kv.stats()
 
-        assert all(lease is None for lease in run(scenario()))
+        before, after, stats = run(scenario())
+        assert before == {"key:0", "key:1"}
+        assert after == set()
+        assert stats["lease_invalidations"] == 2
+
+    def test_routing_flip_drops_lease_no_reader_touched(self, config):
+        """A write-granted lease exists before any reader state does; the
+        flip must still drop it, and count it exactly once."""
+        async def scenario():
+            async with ShardedKVStore(CachedRegularStorageProtocol, config,
+                                      num_shards=2,
+                                      fast_reads=True) as kv:
+                await kv.put("key:0", "v")
+                kv.apply_reconfiguration(kv.ring, dict(kv.shards))
+                invalidations = kv.stats()["lease_invalidations"]
+                value = await kv.get("key:0")
+                return value, invalidations, kv.stats()
+
+        value, invalidations, stats = run(scenario())
+        assert value == "v"
+        assert invalidations == 1
+        assert stats["fast_reads_taken"] == 0      # classic after the flip
+        assert stats["lease_invalidations"] == 1
 
     def test_fenced_put_retry_invalidates_leases(self, config):
         async def scenario():
@@ -348,13 +420,34 @@ class TestShardedLeases:
                 store = kv.store_for("key:0")
                 for i in range(config.num_objects):
                     store.object_automaton(i).hard_fences.add("key:0")
-                from repro.errors import FencedWriteError
                 with pytest.raises(FencedWriteError):
                     await kv.put("key:0", "v2")
                 return store.stats()
 
         stats = run(scenario())
-        assert stats["lease_invalidations"] >= 1
+        assert stats["lease_invalidations"] == 1
+
+    def test_fenced_put_drops_lease_no_reader_touched(self, config):
+        async def scenario():
+            async with ShardedKVStore(CachedRegularStorageProtocol, config,
+                                      num_shards=1,
+                                      fast_reads=True) as kv:
+                await kv.put("key:0", "v")
+                store = kv.store_for("key:0")
+                for i in range(config.num_objects):
+                    store.object_automaton(i).hard_fences.add("key:0")
+                with pytest.raises(FencedWriteError):
+                    await kv.put("key:0", "v2")
+                held = self._held(kv)
+                value = await kv.get("key:0")
+                return value, held, store.stats()
+
+        value, held, stats = run(scenario())
+        assert value == "v"
+        assert held == set()
+        assert stats["fast_reads_taken"] == 0
+        assert stats["fast_read_fallbacks"] == 0   # nothing left to probe
+        assert stats["lease_invalidations"] == 1
 
     def test_cluster_forwards_fast_reads_opt_in(self, config):
         from repro.api.cluster import Cluster
@@ -389,17 +482,18 @@ class TestLeaseFreshnessProperty:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_fast_reads_never_stale_under_racing_writers(self, plan, seed):
-        """Interleave two writers with a reader probing its lease; every
-        fast read must satisfy the same freshness clauses as classic
-        reads (checker-gated, not value-asserted: with races the set of
-        legal values is exactly what the checker encodes)."""
+        """Interleave two writers with two readers probing the shared
+        lease; every fast read must satisfy the same freshness clauses as
+        classic reads (checker-gated, not value-asserted: with races the
+        set of legal values is exactly what the checker encodes).  Reader
+        1 never reads before the race, so its first read probes a lease
+        only a write granted."""
         async def scenario():
             config = SystemConfig.optimal(t=1, b=1, num_readers=2,
                                           num_writers=2)
             async with fast_store(config, record_history=True,
                                   jitter=0.001, seed=seed) as store:
-                await store.write("k", "seed", writer_index=0)
-                await store.read("k")  # arm the lease
+                await store.write("k", "seed", writer_index=0)  # arms it
 
                 async def write_all():
                     for writer_index, value in plan:
@@ -407,11 +501,11 @@ class TestLeaseFreshnessProperty:
                                           writer_index=writer_index)
 
                 async def read_all():
-                    for _ in range(len(plan) + 2):
-                        await store.read("k")
+                    for n in range(len(plan) + 2):
+                        await store.read("k", reader_index=(n + 1) % 2)
 
                 await asyncio.gather(write_all(), read_all())
-                await store.read("k")
+                await store.read("k", reader_index=1)
                 return store.history, store.stats()
 
         history, stats = run(scenario())
@@ -419,3 +513,63 @@ class TestLeaseFreshnessProperty:
         check_fast_read_freshness(history).assert_ok()
         # Sanity: the machinery under test actually engaged.
         assert stats["fast_reads_enabled"]
+
+
+# ---------------------------------------------------------------------------
+# Rounds per operation, read from the recorded history
+# ---------------------------------------------------------------------------
+
+
+class TestRoundsPerOperation:
+    def test_rounds_within_declared_bounds_under_stale_tag_forger(self):
+        """A seeded 90/10 mix of two sessions over 64 preloaded keys, with
+        replica 0 vouching for every lease: each fast read took one round,
+        each other read at most the probe plus the classic worst case,
+        each write at most the MWMR bound -- and writes arm the lease for
+        both readers, so nearly every read is fast."""
+        protocol = AtomicStorageProtocol()
+        config = SystemConfig.optimal(t=1, b=1, num_readers=2,
+                                      num_writers=2)
+        keys = [f"key:{n}" for n in range(64)]
+        rng = random.Random(1)
+        plans = [[(rng.random() < 0.9, rng.choice(keys)) for _ in range(250)]
+                 for _ in range(2)]
+
+        async def scenario():
+            async with Cluster(AtomicStorageProtocol, config, num_shards=1,
+                               record_history=True,
+                               fast_reads=True) as cluster:
+                sessions = [cluster.session() for _ in plans]
+                for client, session in enumerate(sessions):
+                    await session.put_many(
+                        {key: f"{key}|0" for key in keys[client::2]})
+                honest = cluster.kv.store_for(keys[0]).object_automaton(0)
+                cluster.admin().compromise_replica(
+                    keys[0], 0, StaleTagForger(honest, config,
+                                               forged_value="FORGED"))
+
+                async def client_loop(client, session, plan):
+                    for n, (is_get, key) in enumerate(plan):
+                        if is_get:
+                            assert await session.get(key) != "FORGED"
+                        else:
+                            await session.put(key, f"{key}|{client}|{n}")
+
+                await asyncio.gather(*(
+                    client_loop(client, session, plan)
+                    for client, (session, plan)
+                    in enumerate(zip(sessions, plans))))
+                return cluster.history
+
+        history = run(scenario())
+        reads = history.reads(complete_only=True)
+        fast = [op for op in reads if op.fast]
+        assert len(reads) == sum(is_get for plan in plans
+                                 for is_get, _ in plan)
+        assert all(op.rounds_used == 1 for op in fast)
+        assert all(op.rounds_used <= protocol.read_rounds_worst_case + 1
+                   for op in reads if not op.fast)
+        assert all(op.rounds_used <= protocol.write_rounds_bound(config)
+                   for op in history.writes())
+        assert len(fast) >= 0.95 * len(reads)
+        check_per_register(history, check_mwmr_atomicity).assert_ok()
