@@ -12,7 +12,8 @@ def test_e11_regenerate(benchmark):
 
 
 def test_e11_atomic_read_cost(benchmark):
-    """3-round atomic READ at t=2, b=1 -- compare with bench_e02's read."""
+    """Atomic READ (round 1 + write-back) at t=2, b=1 -- compare with
+    bench_e02's read."""
     config = SystemConfig.optimal(t=2, b=1, num_readers=1)
     system = StorageSystem(AtomicStorageProtocol(), config,
                            trace_enabled=False)

@@ -75,7 +75,8 @@ def main() -> None:
     print("Takeaways (the paper's Section 1 in one table):")
     print(" * b=0 or signatures buy 1-round reads;")
     print(" * unauthenticated + Byzantine + optimal resilience costs "
-          "exactly 2 rounds (never more, Proposition 2);")
+          "2 rounds under attack (never more, Proposition 2), 1 when "
+          "round-1 evidence decides;")
     print(" * passive readers degrade to b+1 rounds under attack;")
     print(" * the §5.1 cache trades object memory for small messages.")
 

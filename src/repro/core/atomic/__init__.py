@@ -11,9 +11,10 @@ eliminating the new/old inversion that separates regular from atomic.
 
 Costs, consistent with the paper's remark:
 
-* READ takes up to **3** rounds (two evidence rounds + write-back) --
-  deliberately *not* 2, matching the literature's observation that
-  optimal-resilience atomic reads do not match the 2-round bound;
+* READ takes up to **3** rounds (two evidence rounds + write-back; 2 when
+  round 1 decides) -- deliberately *not* 2, matching the literature's
+  observation that optimal-resilience atomic reads do not match the
+  2-round bound;
 * objects accept history entries from readers (who are non-malicious in
   the model -- clients only crash), guarded so reader write-backs can
   complete but never overwrite a *complete* slot with different content.

@@ -9,7 +9,7 @@ from ...automata.base import Outgoing, Sink
 from ...config import SystemConfig
 from ...messages import HistoryEntry, Message
 from ...protocols import ATOMIC
-from ...types import DEFAULT_REGISTER, TAG0, ProcessId, WriteTuple, obj
+from ...types import DEFAULT_REGISTER, TAG0, ProcessId, WriteTuple
 from ..regular import (RegularObject, RegularReaderState,
                        RegularReadOperation, RegularStorageProtocol)
 from ..regular.reader import PHASE_WRITE_BACK
@@ -70,14 +70,13 @@ class AtomicObject(RegularObject):
 
 
 class AtomicReadOperation(RegularReadOperation):
-    """Regular read + third write-back round before returning."""
+    """Regular read + a write-back round before returning (2-3 rounds)."""
 
     def __init__(self, state: RegularReaderState):
         super().__init__(state, cached=False)
         self._chosen: Any = None
         self._wb_nonce: int = 0
         self._wb_ackers: Set[int] = set()
-        self._outbox: Outgoing = []
 
     # ------------------------------------------------------------------
     def absorb(self, sender: ProcessId, message: Any) -> None:
@@ -104,14 +103,9 @@ class AtomicReadOperation(RegularReadOperation):
                 self.complete(self._chosen.tsval.value)
             return
         super().advance(sink, leftovers)
-        # The overridden _maybe_return may have queued the write-back
-        # broadcast; splice it into this step's sends.
-        if self._outbox:
-            sink.append(self._outbox[0][1])
-            self._outbox = []
 
     # ------------------------------------------------------------------
-    def _maybe_return(self) -> None:
+    def _maybe_return(self, sink: Sink) -> None:
         if self.done or self.phase == PHASE_WRITE_BACK:
             return
         candidate = self.evidence.returnable()
@@ -126,19 +120,14 @@ class AtomicReadOperation(RegularReadOperation):
             self.tag = TAG0
             self.complete(candidate.tsval.value)
             return
-        self._begin_write_back(candidate)
-
-    def _begin_write_back(self, candidate: WriteTuple) -> None:
         self.phase = PHASE_WRITE_BACK
         self._chosen = candidate
         self.state.tsr += 1        # fresh nonce from the reader's clock
         self._wb_nonce = self.state.tsr
         self.begin_round()
-        message = WriteBack(c=candidate, nonce=self._wb_nonce,
-                            reader_index=self.reader_index,
-                            register_id=self.register_id)
-        self._outbox = [(obj(i), message)
-                        for i in range(self.config.num_objects)]
+        sink.append(WriteBack(c=candidate, nonce=self._wb_nonce,
+                              reader_index=self.reader_index,
+                              register_id=self.register_id))
 
     def describe(self) -> str:
         return (f"ATOMIC-READ#{self.operation_id} by "

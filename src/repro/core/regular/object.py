@@ -113,8 +113,8 @@ class RegularObject(MultiRegisterObject):
 
     # ------------------------------------------------------------------
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        # Dispatch ordered by message frequency: two read rounds per READ
-        # make ReadRequest the most common arrival.  The hot handlers
+        # Dispatch ordered by message frequency: reads dominate, and each
+        # sends a ReadRequest round (two if forced).  The hot handlers
         # return a single reply message (always to the sender) so the
         # batched path can append it to a shared sink without the
         # per-part list/tuple wrapping.

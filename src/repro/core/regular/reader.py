@@ -1,7 +1,7 @@
 """Reader side of the regular storage (Figure 6) and its §5.1 optimization.
 
-Control flow mirrors the safe reader -- two rounds, reader timestamps
-written into the objects, conflict-free quorum to leave round 1 -- but the
+Control flow mirrors the safe reader -- at most two rounds, reader
+timestamps in the objects, conflict-free quorum to leave round 1 -- but the
 evidence is richer: whole histories instead of latest values, with the
 ``invalid``/``safe`` predicates of :class:`~repro.core.regular.evidence.
 RegularEvidence` deciding candidate fate.
@@ -202,12 +202,13 @@ class RegularReadOperation(ClientOperation):
             return
         if self.phase == PHASE_ROUND1:
             if self._round1_condition():
-                sink.append(self._enter_round2())
                 # The line-14 wait condition may already hold on round-1
-                # evidence alone (uncontended runs).
-                self._maybe_return()
+                # evidence alone: decide first, so no round 2 goes unread.
+                self._maybe_return(sink)
+                if self.phase == PHASE_ROUND1 and not self.done:
+                    sink.append(self._enter_round2())
             return
-        self._maybe_return()
+        self._maybe_return(sink)
 
     def _advance_probe(self, sink: Sink) -> None:
         """Decide the probe: fast return, or fall back to phase 1."""
@@ -282,7 +283,8 @@ class RegularReadOperation(ClientOperation):
                            from_ts=self._from_ts(),
                            register_id=self.register_id)
 
-    def _maybe_return(self) -> None:
+    def _maybe_return(self, sink: Sink) -> None:
+        """Line 14; ``sink`` takes the atomic extension's write-back."""
         if self.done:
             return
         candidate = self.evidence.returnable()

@@ -1,21 +1,22 @@
 """Reader side of the safe storage (Figure 4).
 
-The READ takes exactly two rounds, and -- unusually -- *writes control
-data* in both: each ``READk`` message carries a fresh reader timestamp that
-the objects store in their ``tsr[j]`` field.  The writer's PW round picks
-those timestamps up and embeds them (as ``tsrarray``) into the write tuple,
-which closes the loop that lets the reader catch malicious objects:
+The READ takes at most two rounds, and -- unusually -- *writes control
+data* in each: every ``READk`` message carries a fresh reader timestamp
+that the objects store in their ``tsr[j]`` field.  The writer's PW round
+picks those timestamps up and embeds them (as ``tsrarray``) into the write
+tuple, which closes the loop that lets the reader catch malicious objects:
 
 * In round 1 the reader waits for a *conflict-free* quorum (line 11): if a
   responder exhibits a candidate tuple claiming some object saw a reader
   timestamp that this reader has not issued yet, one of the two objects is
   provably lying and the pair is excluded together.
-* In round 2 the reader waits until some candidate with the highest
+* Then the reader waits until some candidate with the highest
   timestamp is ``safe`` -- vouched for by ``b + 1`` objects, so at least
   one non-Byzantine voice -- or until every candidate has been eliminated
   (``t + b + 1`` objects answered without it), which can only happen when
   the READ is concurrent with a WRITE, in which case returning the initial
-  value ``v0 = ⊥`` is allowed by safety.
+  value ``v0 = ⊥`` is allowed by safety.  Round 2 is sent only if round-1
+  evidence does not settle this already (it does in uncontended runs).
 """
 
 from __future__ import annotations
@@ -116,10 +117,11 @@ class SafeReadOperation(ClientOperation):
             return
         if self.phase == 1:
             if self._round1_condition():
-                sink.append(self._enter_round2())
                 # The line-14 wait condition may already hold on round-1
-                # evidence alone (uncontended runs).
+                # evidence alone: decide first, so no round 2 goes unread.
                 self._maybe_return()
+                if not self.done:
+                    sink.append(self._enter_round2())
             return
         self._maybe_return()
 

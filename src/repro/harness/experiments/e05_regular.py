@@ -3,7 +3,8 @@
 Both regular flavours (full-history and §5.1 cached) must satisfy the
 three regularity clauses under concurrency and faults while keeping the
 2-round worst case.  Regularity is strictly stronger than safety, so the
-checker here subsumes E3's property for these protocols.
+checker here subsumes E3's property for these protocols.  Only the seeded
+fuzz runs force a read's round 2; the per-plan rows read max R = 1.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ dominate user-visible latency.  With the delay-model simulator the round
 counts of E7 translate into latency distributions:
 
 * at ``b = 0`` the crash-only baseline reads in ~1 RTT;
-* the paper's protocols read in ~2 RTT regardless of ``b``;
+* the paper's safe reader decides on round-1 evidence fault-free: ~1 RTT
+  (~2 one-way delays), with a 2-round worst case regardless of ``b``;
 * the passive-reader baseline matches ~1 RTT fault-free but degrades
   toward ``(b+1)`` RTT under Byzantine forgery -- the crossover the
   paper's constant worst case is about.
@@ -67,8 +68,8 @@ def run() -> ExperimentResult:
                          f"{gv:.2f}", f"{passive_ff:.2f}",
                          f"{passive_adv:.2f}",
                          f"{passive_adv / gv:.2f}x"])
-            # Shape: fault-free passivity beats the 2-round protocol, but
-            # under attack the ordering flips as b grows.
+            # Shape: fault-free passivity beats gv's one quorum round
+            # trip, but under attack the ordering flips as b grows.
             shape_ok &= passive_ff < gv
             if b >= 2:
                 shape_ok &= passive_adv > gv
@@ -81,7 +82,7 @@ def run() -> ExperimentResult:
         title=f"Mean READ latency over {NUM_READS} reads (virtual time)")
     return ExperimentResult(
         experiment_id="E8",
-        title="Read latency: constant 2 rounds vs b-dependent rounds",
+        title="Read latency: 1 RTT (2-round worst case) vs b-dependent",
         paper_claim=("the worst-case read cost of prior optimally "
                      "resilient designs grows with b (b+1 rounds); the "
                      "paper's storage pins it at 2 regardless of b"),

@@ -3,12 +3,12 @@
 Beyond the paper: Section 1 notes that comparable data-centric *atomic*
 storages either give up optimal resilience or the optimal read time.
 Our extension keeps optimal resilience and pays exactly one extra round
-(3-round reads), which this experiment validates empirically: the
-atomicity checker (regularity + no new/old inversion) over the
-adversarial strategy suite and seeded random fuzz, plus the round-count
-measurement, plus a control showing the *regular* protocol (without
-write-back) does exhibit new/old inversions under an engineered schedule
--- i.e. the write-back is doing real work.
+(2-round reads when round 1 decides, 3 worst case), which this experiment
+validates empirically: the atomicity checker (regularity + no new/old
+inversion) over the adversarial strategy suite and seeded random fuzz,
+plus the round-count measurement, plus a control showing the *regular*
+protocol (without write-back) does exhibit new/old inversions under an
+engineered schedule -- i.e. the write-back is doing real work.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def run() -> ExperimentResult:
         title="EXTENSION: atomicity via reader write-back",
         paper_claim=("(beyond the paper) Section 1 implies atomic "
                      "data-centric reads cost more than 2 rounds at "
-                     "optimal resilience; a write-back third round "
-                     "should suffice"),
+                     "optimal resilience; a write-back round (3-round "
+                     "worst case) should suffice"),
         measured=(f"0 atomicity violations expected, got {violations}; "
                   f"max read rounds = {worst_read} (bound 3); "
                   f"inversion control: regular={'inverts' if regular_inverts else 'held'}"

@@ -492,7 +492,7 @@ class MuxClientHost:
 
         The burst's outgoing is aggregated before dispatching: batched
         acks (N registers' round-1 replies from several objects, served
-        in one step) yield N coalesced round-2 broadcasts -- S
+        in one step) yield N coalesced next-round broadcasts -- S
         envelopes, not N x S.
         """
         pending = self._pending

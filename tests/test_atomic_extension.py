@@ -68,18 +68,19 @@ class TestAtomicObject:
 
 
 class TestAtomicReads:
-    def test_read_takes_three_rounds(self, config):
+    def test_read_takes_two_rounds(self, config):
+        """Round 1 decides, so the read goes straight to write-back."""
         system = StorageSystem(AtomicStorageProtocol(), config)
         system.write("v1")
         handle = system.read_handle(0)
         assert handle.result == "v1"
-        assert handle.rounds_used == 3
+        assert handle.rounds_used == 2
 
     def test_initial_read_skips_write_back(self, config):
         system = StorageSystem(AtomicStorageProtocol(), config)
         handle = system.read_handle(0)
         assert handle.result is BOTTOM
-        assert handle.rounds_used == 2  # no write-back for w0
+        assert handle.rounds_used == 1  # round 1 decides; no write-back for w0
 
     def test_round_bound_holds_under_faults(self):
         config = SystemConfig.optimal(t=2, b=1, num_readers=2)

@@ -225,16 +225,15 @@ class TestFastReadPath:
         nor any later one has a lease to probe."""
         async def scenario():
             async with fast_store(config) as store:
-                before = store.network.messages_sent
                 first = await store.read("k")
-                classic_cost = store.network.messages_sent - before
                 second = await store.read("k")
-                return (first, second, classic_cost, store.stats(),
+                return (first, second, store.stats(),
                         dict(store._states.leases.leases))
 
-        first, second, classic_cost, stats, leases = run(scenario())
+        first, second, stats, leases = run(scenario())
         assert first is BOTTOM and second is BOTTOM
-        assert classic_cost > 2 * config.num_objects
+        # A TAG0 classic read decides in round 1, so it costs 2*S like a
+        # probe: only the counter tells the two apart.
         assert stats["fast_reads_taken"] == 0
         assert stats["fast_read_fallbacks"] == 0
         assert leases == {}

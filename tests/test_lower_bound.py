@@ -8,7 +8,9 @@ from repro.core.lower_bound import (ALL_RULES, BlockPartition,
                                     ReplayResponder, RULE_HIGHEST_TS,
                                     RULE_MAJORITY, RULE_THRESHOLD, figure1,
                                     run_lower_bound)
-from repro.core.regular import RegularStorageProtocol
+from repro.core.atomic import AtomicStorageProtocol
+from repro.core.regular import (CachedRegularStorageProtocol,
+                                RegularStorageProtocol)
 from repro.core.safe import SafeStorageProtocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.spec import check_safety
@@ -108,16 +110,30 @@ class TestDriver:
                                                        "run5")}
         assert len(values) == 1
 
-    @pytest.mark.parametrize("factory", [SafeStorageProtocol,
-                                         RegularStorageProtocol])
-    def test_two_round_protocols_survive(self, factory):
-        report = run_lower_bound(factory, t=1, b=1)
+    @pytest.mark.parametrize("factory,t,b", [
+        pytest.param(factory, t, b, id=factory.__name__
+                     + ("" if (t, b) == (1, 1) else f"-t{t}b{b}"))
+        for factory in (SafeStorageProtocol, RegularStorageProtocol,
+                        CachedRegularStorageProtocol, AtomicStorageProtocol)
+        for t, b in ((1, 1), (2, 2))])
+    def test_two_round_protocols_survive(self, factory, t, b):
+        """Round 2 is spent exactly where the construction forces it."""
+        worst = factory.read_rounds_worst_case  # 2, or 3 with write-back
+        report = run_lower_bound(factory, t=t, b=b)
         assert not report.violated
         assert report.survived_by_blocking
         assert report.blocked_run == "run5"
-        # and when they do answer (runs 3, 4), they answer correctly
-        assert report.runs["run3"].value == "v1"
-        assert report.runs["run4"].value == "v1"
+        # and when they do answer (runs 3, 4), they answer correctly --
+        # after the second round the construction forces
+        for name in ("run3", "run4"):
+            assert report.runs[name].value == "v1"
+            assert report.runs[name].rounds_used == worst
+        # Fault-free on the same config, round-1 evidence decides.
+        system = StorageSystem(factory(), report.config)
+        system.write("v1")
+        handle = system.read_handle(0)
+        assert handle.result == "v1"
+        assert handle.rounds_used == worst - 1
 
     def test_report_renders(self):
         report = run_lower_bound(lambda: FastReadProtocol(RULE_MAJORITY),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary import adversarial_suite, max_byzantine
+from repro.adversary import adversarial_suite, forger, max_byzantine
 from repro.adversary.byzantine import HistoryForger
 from repro.config import SystemConfig
 from repro.core.regular import (CachedRegularStorageProtocol,
@@ -191,6 +191,26 @@ class TestRegularSemantics:
             # regular: a concurrent read returns v1 or v2, never ⊥
             assert read.result in ("v1", "v2")
             check_regularity(system.history).assert_ok()
+
+    @pytest.mark.parametrize("protocol_cls", [RegularStorageProtocol,
+                                              CachedRegularStorageProtocol])
+    def test_round_two_only_when_round_one_is_insufficient(self,
+                                                           protocol_cls):
+        """A forged high candidate is neither safe nor eliminated by one
+        quorum of round-1 acks: the read concurrent with a write spends
+        its second round and still returns a regular value, while the
+        uncontended read before it decides in round 1."""
+        config = SystemConfig.optimal(t=2, b=1, num_readers=2)
+        system = StorageSystem(protocol_cls(), config)
+        system.write("v1")
+        assert system.read_handle(1).rounds_used == 1
+        max_byzantine(config, forger()).apply(system)
+        write = system.invoke_write("v2")
+        read = system.invoke_read(0)
+        system.run_until_done(write, read)
+        assert read.operation.rounds_used == 2
+        assert read.result in ("v1", "v2")
+        check_regularity(system.history).assert_ok()
 
 
 class TestCachedVariant:

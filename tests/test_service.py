@@ -1,12 +1,13 @@
 """Service tier: MultiRegisterStore, ShardedKVStore, HashRing, batching."""
 
 import asyncio
+import random
 
 import pytest
 
 from repro.adversary.byzantine import ValueForger
 from repro.config import SystemConfig
-from repro.core.regular import CachedRegularStorageProtocol
+from repro.core.regular import CachedRegularStorageProtocol, RegularObject
 from repro.core.safe import SafeStorageProtocol
 from repro.errors import FencedWriteError, TransportError
 from repro.messages import Batch, WriteAck
@@ -252,6 +253,61 @@ class TestShardedKVStore:
         result = run(scenario())
         assert list(result) == ["nope:a", "present", "nope:b"]
         assert result == {"nope:a": None, "present": 1, "nope:b": None}
+
+
+class TestReadMessageCounts:
+    """An uncontended read decides on round-1 evidence and sends no
+    round 2: one request and one ack per replica, per key or per frame."""
+
+    def test_single_key_get_costs_two_s_sends(self, config):
+        async def scenario():
+            async with ShardedKVStore(CachedRegularStorageProtocol, config,
+                                      num_shards=1) as kv:
+                await kv.put("k", "v")
+                network = kv.store_for("k").network
+                before = network.messages_sent
+                value = await kv.get("k")
+                return value, network.messages_sent - before
+
+        assert run(scenario()) == ("v", 2 * config.num_objects)
+
+    def test_get_many_costs_s_request_plus_s_ack_frames(self, config):
+        async def scenario():
+            async with ShardedKVStore(CachedRegularStorageProtocol, config,
+                                      num_shards=1) as kv:
+                items = {f"k{n}": n for n in range(64)}
+                await kv.put_many(items)
+                network = kv.store_for("k0").network
+                before = network.messages_sent
+                values = await kv.get_many(list(items))
+                return values == items, network.messages_sent - before
+
+        assert run(scenario()) == (True, 2 * config.num_objects)
+
+    def test_seeded_uncontended_run_sends_no_round_two(self, config,
+                                                       monkeypatch):
+        rounds = []
+        read_reply = RegularObject._read_reply
+        monkeypatch.setattr(
+            RegularObject, "_read_reply",
+            lambda self, message: (rounds.append(message.round_index),
+                                   read_reply(self, message))[1])
+
+        async def scenario():
+            rng = random.Random(11)
+            async with ShardedKVStore(CachedRegularStorageProtocol, config,
+                                      num_shards=2) as kv:
+                for n in range(60):
+                    key = f"k{rng.randrange(8)}"
+                    if rng.random() < 0.5:
+                        await kv.put(key, n)
+                    else:
+                        await kv.get(key, reader_index=rng.randrange(2))
+                await kv.get_many([f"k{i}" for i in range(8)])
+
+        run(scenario())
+        assert rounds.count(1) > 0
+        assert rounds.count(2) == 0
 
 
 class TestLifecycle:
