@@ -146,12 +146,13 @@ async def run_multiplexed(num_keys: int) -> Dict[str, Any]:
 async def run_multiplexed_unbatched(num_keys: int) -> Dict[str, Any]:
     """The same multiplexed store driven one operation per key.
 
-    Isolates the vector round engine's contribution: identical store,
-    identical protocol, but per-key ``write``/``read`` calls fanned out
-    with ``asyncio.gather`` -- no shared per-step frames, per-ack quorum
-    evaluation.  The burst coalescing of the hosts still applies, so
-    the delta versus :func:`run_multiplexed` is the batching contract,
-    not envelope counts alone.
+    Isolates what batching the calls buys: identical store, identical
+    protocol, but per-key ``write``/``read`` calls fanned out with
+    ``asyncio.gather`` -- every call launches its own first round.  Each
+    call is a one-member vector round, so later rounds whose acks land
+    in one burst still share frames: the delta versus
+    :func:`run_multiplexed` is the batching contract, not envelope
+    counts alone.
     """
     started = time.perf_counter()
     keys = [f"key:{n}" for n in range(num_keys)]

@@ -26,6 +26,10 @@ by ~10 % on ``mixed_multiproc`` solo p50 (0.67 vs 0.74 ms, 6 of 6
 runs), which is most of a bound.  The tool warns when the two
 directories do not share a parent directory.
 
+``--trace`` passes ``--trace 1`` to both sides instead and prints every
+per-layer metric's median, parent -> change, with no verdict: the layer
+attribution a gain or a regression needs.
+
 The exit code is 0 unless a run fails, reports failed operations, or a
 metric regresses.
 """
@@ -44,12 +48,12 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: str, workload: str, seed: int,
-             seconds: float) -> Dict[str, Any]:
+             seconds: float, trace: bool = False) -> Dict[str, Any]:
     """One benchmark run in ``checkout``; the parsed last stdout line."""
     done = subprocess.run(
         [sys.executable, os.path.join("benchmarks", "perf", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", "1" if trace else "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -102,6 +106,8 @@ def main(argv: Sequence[str]) -> int:
                         help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair; pair i uses seed + i")
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs: per-layer medians, no verdict")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": os.path.abspath(args.parent),
@@ -116,14 +122,15 @@ def main(argv: Sequence[str]) -> int:
 
     workload = args.workload
     failed = False
+    metrics = declared["per_layer" if args.trace else "end_to_end"]
+    headline = "runtime.hosts.self_us_per_op" if args.trace else "ops_per_s"
     values: Dict[str, Dict[str, List[float]]] = {
-        side: {m["name"]: [] for m in declared["end_to_end"]}
-        for side in SIDES}
+        side: {m["name"]: [] for m in metrics} for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             result = run_once(checkouts[side], workload,
-                              args.seed + pair, seconds)
+                              args.seed + pair, seconds, args.trace)
             if result["failed"] or not result["correct"]:
                 print(f"# {side}: {result['failed']} of "
                       f"{result['attempted']} operations failed "
@@ -132,12 +139,22 @@ def main(argv: Sequence[str]) -> int:
             for name, column in values[side].items():
                 column.append(result["metrics"][name]["value"])
         print(f"# {workload} pair {pair + 1}/{args.pairs} "
-              f"(seed {args.seed + pair}, {order[0]} first): ops_per_s "
-              + " vs ".join(f"{side} {values[side]['ops_per_s'][-1]:.0f}"
+              f"(seed {args.seed + pair}, {order[0]} first): {headline} "
+              + " vs ".join(f"{side} {values[side][headline][-1]:.4g}"
                             for side in SIDES), flush=True)
+    if args.trace:
+        print(f"\n{workload}: {args.pairs} traced pairs, {seconds:g} s per "
+              f"run; per-layer medians, parent -> change")
+        for metric in metrics:
+            name = metric["name"]
+            parent, change = (statistics.median(values[side][name])
+                              for side in SIDES)
+            ratio = f"x{change / parent:.3f}" if parent else ""
+            print(f"  {name:46s} {parent:12.5g} -> {change:12.5g}  {ratio}")
+        return 1 if failed else 0
     print(f"\n{workload}: {args.pairs} pairs, {seconds:g} s per run; "
           f"q1 / median / q3")
-    for metric in declared["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         row = judge(metric, values["parent"][name], values["change"][name])
         failed = failed or row["verdict"] == "regression"

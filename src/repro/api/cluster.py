@@ -120,7 +120,6 @@ class Cluster:
                  config: SystemConfig, num_shards: int = 2,
                  jitter: float = 0.0, seed: int = 0, vnodes: int = 64,
                  default_timeout: Optional[float] = 30.0,
-                 batching: bool = True,
                  max_pending_per_host: Optional[int] = None,
                  record_history: bool = False,
                  data_dir: Optional[str] = None,
@@ -130,7 +129,7 @@ class Cluster:
         self.kv = ShardedKVStore(
             protocol_factory, config, num_shards=num_shards,
             jitter=jitter, seed=seed, vnodes=vnodes,
-            default_timeout=default_timeout, batching=batching,
+            default_timeout=default_timeout,
             max_pending_per_host=max_pending_per_host,
             record_history=record_history, data_dir=data_dir,
             granularity=granularity, auto_heal=auto_heal,

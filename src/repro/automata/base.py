@@ -250,6 +250,10 @@ class ClientOperation(ABC):
 
     #: Subclasses set this: "READ" or "WRITE" (used by history recording).
     kind: str = "OP"
+    #: The :class:`~repro.config.SystemConfig` the operation runs under;
+    #: every operation sets it, and client hosts broadcast each round to
+    #: its ``num_objects`` base objects.
+    config: Any
 
     def __init__(self, client_id: ProcessId,
                  register_id: str = DEFAULT_REGISTER):

@@ -12,16 +12,18 @@ what replica hand-over and ``crash``/``restore`` build on.
   raise is dropped and counted; the replica keeps serving.
 * :class:`MuxClientHost` -- the multiplexing client of the service tier:
   one process (one mailbox) drives *many* concurrent operations, one
-  per register, routing replies by their ``register_id`` and coalescing
-  same-step messages to the same object into :class:`~repro.messages.
-  Batch` envelopes.  This is what lets one replica set serve thousands of
-  registers without per-register hosts.
+  per register, routing replies by their ``register_id``.  It has one
+  driver, the vector round engine: single-key and batched calls alike
+  send each step as one :class:`~repro.messages.Batch` frame per object
+  and advance once per burst, and a call's deadline is one
+  ``call_later`` timer on the call's future.  This is what lets one
+  replica set serve thousands of registers without per-register hosts.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..automata.base import (ClientOperation, ObjectAutomaton, Outgoing,
                              Sink, resolve_batch_handler)
@@ -150,28 +152,26 @@ class ObjectHost:
 
 
 class _VectorGroup:
-    """One ``run_many`` batch driven by the vector round engine.
+    """The operations of one ``run``/``run_many`` call.
 
-    The group shares a single future across all its operations; the pump
+    The group shares a single future across its operations; the pump
     absorbs inbound parts into the per-register operations and advances
     each touched operation once per burst, so per-register quorum
     conditions are evaluated once over the whole burst's evidence
-    instead of once per ack.  Round broadcasts from every member
-    collect in one sink and leave as a single :class:`Batch` frame per
-    base object -- one vector round per (replica, step).
+    instead of once per ack.  A single-key ``run`` is the one-member
+    case.
     """
 
-    __slots__ = ("operations", "num_objects", "future", "remaining",
-                 "dirty")
+    __slots__ = ("operations", "future", "remaining", "dirty")
 
     def __init__(self, operations: List[ClientOperation],
-                 num_objects: int, future: "asyncio.Future[List[Any]]"):
+                 future: "asyncio.Future[List[Any]]"):
         self.operations = operations
-        self.num_objects = num_objects
         self.future = future
         self.remaining = len(operations)
-        #: operations touched by the current burst, advanced at its end.
-        self.dirty: List[ClientOperation] = []
+        #: operations touched by the current burst (insertion-ordered,
+        #: each once), advanced at its end.
+        self.dirty: Dict[ClientOperation, None] = {}
 
 
 class MuxClientHost:
@@ -180,14 +180,16 @@ class MuxClientHost:
     One mailbox consumer routes every inbound message to the pending
     operation of the register it addresses; operations on distinct
     registers therefore proceed concurrently over one mailbox, one
-    socket set, one process identity.  Outgoing message batches are
-    coalesced per destination object, and ``run_many`` batches are
-    driven as *vector rounds*: one :class:`Batch` frame per (replica,
-    step) carrying every member register's payload for that step.
+    socket set, one process identity.  Every call -- a single-key
+    ``run`` or a ``run_many`` batch -- rides the one *vector round*
+    driver: its first round leaves as one frame per base object, inbound
+    acks are absorbed part by part, and each touched operation advances
+    once per burst, the burst's next rounds again leaving as one frame
+    per object.  A call's deadline is a ``call_later`` timer that fails
+    its group's future, cancelled when the call returns.
     """
 
     def __init__(self, pid: ProcessId, network: AsyncNetwork,
-                 batching: bool = True,
                  max_pending: Optional[int] = None,
                  history: Optional[History] = None):
         """``max_pending`` caps concurrently pending registers: admission
@@ -202,14 +204,14 @@ class MuxClientHost:
             raise TransportError("max_pending must be at least 1")
         self.pid = pid
         self.network = network
-        self.batching = batching
         self.max_pending = max_pending
         self.history = history
         network.register(pid)
-        self._pending: Dict[str, ClientOperation] = {}
-        self._waiters: Dict[str, "asyncio.Future[Any]"] = {}
-        #: register id -> the vector group driving that register (if any).
-        self._vector: Dict[str, _VectorGroup] = {}
+        #: register id -> (its pending operation, the group driving it).
+        self._pending: Dict[str, Tuple[ClientOperation, _VectorGroup]] = {}
+        #: broadcast width: the replica set's size, taken from the first
+        #: operation admitted (every later one must agree); 0 until then.
+        self._num_objects = 0
         #: fast-read efficacy counters, aggregated from completed reads
         #: (first slice of the observability roadmap item).
         self.fast_reads_taken = 0
@@ -221,7 +223,7 @@ class MuxClientHost:
         self.network.attach(self.pid, self._pump)
 
     def stop(self) -> None:
-        """Detach from the mailbox and fail every blocked waiter.
+        """Detach from the mailbox and fail every call in flight.
 
         Without the eviction a caller awaiting an in-flight operation
         would hang forever once nothing consumes its replies; failing
@@ -229,31 +231,35 @@ class MuxClientHost:
         visible error at the call site.
         """
         self.network.detach(self.pid, self._pump)
-        if self._pending or self._vector:
+        if self._pending:
             error = TransportError(
                 f"client host {self.pid!r} stopped with operations "
                 f"in flight")
-            for group in {g for g in self._vector.values()}:
-                self._fail_vector(group, error)
-            for operation in list(self._pending.values()):
-                self._evict(operation, error)
+            for group in dict.fromkeys(
+                    group for _, group in self._pending.values()):
+                self._fail(group, error)
 
-    # -- dispatch -----------------------------------------------------------
-    def _dispatch(self, outgoing: Outgoing) -> None:
-        if self.batching:
-            outgoing = coalesce_outgoing(outgoing)
-        for receiver, payload in outgoing:
-            self.network.send(self.pid, receiver, payload)
+    def in_flight(self) -> Set["asyncio.Future[List[Any]]"]:
+        """The futures of every call with an operation still pending."""
+        return {group.future for _, group in self._pending.values()}
 
-    def _admit(self, operation: ClientOperation,
-               record: bool = True) -> "asyncio.Future[Any]":
+    # -- admission ------------------------------------------------------------
+    def _admit(self, operation: ClientOperation, group: _VectorGroup,
+               record: bool) -> None:
         if operation.client_id != self.pid:
             raise TransportError(
                 f"operation belongs to {operation.client_id!r}, "
                 f"host is {self.pid!r}")
+        num_objects = operation.config.num_objects
+        if num_objects != self._num_objects:
+            if self._num_objects:
+                raise TransportError(
+                    f"operation addresses {num_objects} objects, client "
+                    f"{self.pid!r} broadcasts to {self._num_objects}")
+            self._num_objects = num_objects
         register_id = operation.register_id
         existing = self._pending.get(register_id)
-        if existing is not None and not existing.done:
+        if existing is not None and not existing[0].done:
             raise BusyRegisterError(
                 f"client {self.pid!r} already has an operation in flight "
                 f"on register {register_id!r}")
@@ -263,13 +269,16 @@ class MuxClientHost:
                 f"client {self.pid!r} has {len(self._pending)} operations "
                 f"in flight (cap {self.max_pending}); rejecting "
                 f"register {register_id!r}")
-        self._pending[register_id] = operation
-        future: "asyncio.Future[Any]" = \
-            asyncio.get_running_loop().create_future()
-        self._waiters[register_id] = future
+        self._pending[register_id] = (operation, group)
         if record:
             self._record_invocation(operation)
-        return future
+
+    def _withdraw(self, operation: ClientOperation) -> None:
+        """Drop ``operation`` from the pending table.  Identity-guarded:
+        the register may already carry a later admission."""
+        entry = self._pending.get(operation.register_id)
+        if entry is not None and entry[0] is operation:
+            del self._pending[operation.register_id]
 
     # -- history recording --------------------------------------------------
     def _record_invocation(self, operation: ClientOperation) -> None:
@@ -301,144 +310,137 @@ class MuxClientHost:
             fast=getattr(operation, "fast_hit", False),
         )
 
-    def _settle(self, register_id: str, operation: ClientOperation) -> None:
-        self._pending.pop(register_id, None)
-        future = self._waiters.pop(register_id, None)
-        if future is not None and not future.done():
-            future.set_result(operation.result)
-        self._record_completion(operation)
+    # -- the round engine -----------------------------------------------------
+    def _send(self, sink: Sink, leftovers: Outgoing) -> None:
+        """Send one step's messages: the sink as one frame to every base
+        object, directed leftovers coalesced per receiver.
 
-    def _evict(self, operation: ClientOperation,
-               error: Optional[BaseException] = None) -> None:
-        """Withdraw an operation; fail its waiter if one is blocked."""
-        register_id = operation.register_id
-        if self._pending.get(register_id) is operation:
-            self._pending.pop(register_id, None)
-            future = self._waiters.pop(register_id, None)
-            if future is not None and not future.done() and error is not None:
-                future.set_exception(error)
-
-    # -- vector rounds ------------------------------------------------------
-    def _broadcast(self, sink: Sink, num_objects: int) -> None:
-        """Send one frame carrying the whole sink to every base object.
-
-        Messages are immutable, so the *same* batch object rides every
-        channel -- S sends, zero per-receiver grouping work.
+        Messages are immutable, so the *same* frame rides every channel
+        -- S sends, zero per-receiver grouping work.
         """
-        payload = as_frame(sink)
         send = self.network.send
         pid = self.pid
-        for i in range(num_objects):
-            send(pid, obj(i), payload)
+        if sink:
+            payload = as_frame(sink)
+            for i in range(self._num_objects):
+                send(pid, obj(i), payload)
+        if leftovers:
+            for receiver, payload in coalesce_outgoing(leftovers):
+                send(pid, receiver, payload)
 
-    def _finish_vector_op(self, group: _VectorGroup,
-                          operation: ClientOperation) -> None:
-        register_id = operation.register_id
-        if self._pending.get(register_id) is operation:
-            del self._pending[register_id]
-        if self._vector.get(register_id) is group:
-            del self._vector[register_id]
+    def _finish(self, group: _VectorGroup,
+                operation: ClientOperation) -> None:
+        self._withdraw(operation)
         group.remaining -= 1
         self._record_completion(operation)
 
-    def _fail_vector(self, group: _VectorGroup,
-                     error: BaseException) -> None:
-        """Fail a whole vector batch: the first failure propagates and
-        every sibling is withdrawn (matching ``run_many``'s classic
-        cancel-siblings semantics)."""
+    def _fail(self, group: _VectorGroup, error: BaseException) -> None:
+        """Fail a whole call: the first failure propagates to the caller
+        and every unfinished member is withdrawn."""
         for operation in group.operations:
-            register_id = operation.register_id
-            if self._pending.get(register_id) is operation:
-                del self._pending[register_id]
-            if self._vector.get(register_id) is group:
-                del self._vector[register_id]
+            self._withdraw(operation)
         if not group.future.done():
             group.future.set_exception(error)
 
-    def _advance_vector(self, group: _VectorGroup) -> None:
-        """Advance every operation the burst touched, once, and flush
-        the resulting round broadcasts as one frame per object."""
-        dirty = group.dirty
-        if group.future.done():  # group failed or caller gave up
-            for operation in dirty:
-                operation._vector_dirty = False
-            dirty.clear()
-            return
+    def _expire(self, group: _VectorGroup) -> None:
+        self._fail(group, asyncio.TimeoutError())
+
+    def _pump(self, burst: List[AsyncEnvelope]) -> None:
+        """One step: absorb the whole burst, then decide once.
+
+        Every inbound part is recorded in the pending operation of the
+        register it addresses, with no decision; :meth:`_advance` then
+        runs each touched operation's round conditions once over all the
+        evidence that arrived together.
+        """
+        pending = self._pending
+        touched: List[_VectorGroup] = []
+        for envelope in burst:
+            sender = envelope.sender
+            for part in unbatch(envelope.payload):
+                # register_of() inlined: this getattr runs once per
+                # inbound part, the hottest line of the service tier.
+                entry = pending.get(
+                    getattr(part, "register_id", DEFAULT_REGISTER))
+                if entry is None:
+                    continue  # stale traffic for a finished operation
+                operation, group = entry
+                try:
+                    operation.absorb(sender, part)
+                except Exception as exc:
+                    self._fail(group, exc)
+                    continue
+                dirty = group.dirty
+                if not dirty:
+                    touched.append(group)
+                dirty[operation] = None
+        if touched:
+            self._advance(touched)
+
+    def _advance(self, touched: List[_VectorGroup]) -> None:
+        """Advance every operation the burst touched, once; send the
+        burst's next rounds together; resolve the finished calls.
+
+        One sink serves every touched call, so N registers' acks served
+        in one step yield S next-round frames, not N x S -- whether the
+        registers belong to one ``run_many`` batch or to concurrent
+        single-key ``run`` calls.
+        """
         sink: Sink = []
         leftovers: Outgoing = []
-        for operation in dirty:
-            operation._vector_dirty = False
-            if operation.done:
+        for group in touched:
+            dirty = group.dirty
+            group.dirty = {}
+            if group.future.done():  # failed, timed out or abandoned
                 continue
+            mark, mark_leftovers = len(sink), len(leftovers)
             try:
-                operation.advance(sink, leftovers)
+                for operation in dirty:
+                    operation.advance(sink, leftovers)
+                    if operation.done:
+                        self._finish(group, operation)
             except Exception as exc:
-                dirty.clear()
-                self._fail_vector(group, exc)
-                return
-            if operation.done:
-                self._finish_vector_op(group, operation)
-        dirty.clear()
+                # A broken operation fails its own call, not the burst;
+                # the call's half-built round stays unsent.
+                del sink[mark:], leftovers[mark_leftovers:]
+                self._fail(group, exc)
+        error: Optional[Exception] = None
         try:
-            if sink:
-                self._broadcast(sink, group.num_objects)
-            if leftovers:
-                self._dispatch(leftovers)
+            self._send(sink, leftovers)
         except Exception as exc:
-            self._fail_vector(group, exc)
-            return
-        if group.remaining == 0 and not group.future.done():
-            group.future.set_result(
-                [operation.result for operation in group.operations])
+            # Undeliverable sends lose messages for an unknowable subset
+            # of the burst's operations; failing their calls beats
+            # hanging them.
+            error = exc
+        for group in touched:
+            if group.future.done():
+                continue
+            if group.remaining == 0:
+                group.future.set_result(
+                    [operation.result for operation in group.operations])
+            elif error is not None:
+                self._fail(group, error)
 
-    def _admit_vector(self, operation: ClientOperation,
-                      group: _VectorGroup) -> None:
-        """Admission for one vector member: same busy/backpressure rules
-        as :meth:`_admit`, but completion flows through the group future
-        instead of a per-register waiter."""
-        if operation.client_id != self.pid:
-            raise TransportError(
-                f"operation belongs to {operation.client_id!r}, "
-                f"host is {self.pid!r}")
-        register_id = operation.register_id
-        existing = self._pending.get(register_id)
-        if existing is not None and not existing.done:
-            raise BusyRegisterError(
-                f"client {self.pid!r} already has an operation in flight "
-                f"on register {register_id!r}")
-        if (self.max_pending is not None
-                and len(self._pending) >= self.max_pending):
-            raise BackpressureError(
-                f"client {self.pid!r} has {len(self._pending)} operations "
-                f"in flight (cap {self.max_pending}); rejecting "
-                f"register {register_id!r}")
-        self._pending[register_id] = operation
-        self._vector[register_id] = group
-        operation._vector_dirty = False
-        if self.history is not None:
-            self._record_invocation(operation)
-
-    async def _run_vector(self, operations: List[ClientOperation],
-                          timeout: Optional[float]) -> List[Any]:
-        """Drive a batch as vector rounds: one frame per (replica, step)."""
-        future: "asyncio.Future[List[Any]]" = \
-            asyncio.get_running_loop().create_future()
-        group = _VectorGroup(operations,
-                             operations[0].config.num_objects, future)
-        admitted: List[ClientOperation] = []
+    async def _run_group(self, operations: List[ClientOperation],
+                         timeout: Optional[float],
+                         record: bool = True) -> List[Any]:
+        """Admit a call's operations, launch their first round as one
+        frame per object, and await the group under its deadline."""
+        loop = asyncio.get_running_loop()
+        group = _VectorGroup(operations, loop.create_future())
+        admitted = 0
         try:
             for operation in operations:
-                self._admit_vector(operation, group)
-                admitted.append(operation)
+                self._admit(operation, group, record)
+                admitted += 1
         except Exception:
-            # Roll back every member this call admitted: their start()
+            # Roll back every member this call admitted: their start
             # never ran, so leaving them pending would brick the
             # registers -- and their invocation records must go too, or
             # the shared history would accumulate phantom forever-pending
             # writes that every later read counts as concurrent.
-            for operation in admitted:
-                self._pending.pop(operation.register_id, None)
-                self._vector.pop(operation.register_id, None)
+            for operation in operations[:admitted]:
+                self._withdraw(operation)
                 if self.history is not None:
                     self.history.discard_invocation(operation.operation_id)
             raise
@@ -448,105 +450,33 @@ class MuxClientHost:
             for operation in operations:
                 operation.start_vector(sink, leftovers)
                 if operation.done:  # zero-communication completion
-                    self._finish_vector_op(group, operation)
-            if sink:
-                self._broadcast(sink, group.num_objects)
-            if leftovers:
-                self._dispatch(leftovers)
+                    self._finish(group, operation)
+            self._send(sink, leftovers)
         except BaseException:
             # A failure while launching the first round (a broken
             # start_vector, an undeliverable send) must not strand the
-            # admitted members: withdraw them or their registers would
-            # refuse all later work with BusyRegisterError.  Their
-            # invocation records stay -- the operations were genuinely
-            # invoked and lost, exactly as on a dispatch failure in _pump.
+            # admitted members, or their registers would refuse all
+            # later work with BusyRegisterError.  Their invocation
+            # records stay: the operations were genuinely invoked and
+            # lost, exactly as on a send failure in a later round.
             for operation in operations:
                 if not operation.done:
-                    register_id = operation.register_id
-                    if self._pending.get(register_id) is operation:
-                        del self._pending[register_id]
-                    if self._vector.get(register_id) is group:
-                        del self._vector[register_id]
+                    self._withdraw(operation)
             raise
         if group.remaining == 0:
             return [operation.result for operation in operations]
+        deadline = (None if timeout is None
+                    else loop.call_later(timeout, self._expire, group))
         try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
+            return await group.future
         finally:
-            # On timeout, failure or caller cancellation every unfinished
-            # member must be withdrawn, or its register would refuse work
-            # forever.  Identity-guarded: the register may already carry a
-            # later admission.
-            for operation in operations:
-                if not operation.done:
-                    register_id = operation.register_id
-                    if self._pending.get(register_id) is operation:
-                        del self._pending[register_id]
-                    if self._vector.get(register_id) is group:
-                        del self._vector[register_id]
-
-    def _pump(self, burst: List[AsyncEnvelope]) -> None:
-        """One step: route the whole burst, then send what it produced.
-
-        The burst's outgoing is aggregated before dispatching: batched
-        acks (N registers' round-1 replies from several objects, served
-        in one step) yield N coalesced next-round broadcasts -- S
-        envelopes, not N x S.
-        """
-        pending = self._pending
-        vector = self._vector
-        outgoing: Outgoing = []
-        settled: List[Tuple[str, ClientOperation]] = []
-        touched: List[_VectorGroup] = []
-        for envelope in burst:
-            sender = envelope.sender
-            for part in unbatch(envelope.payload):
-                # register_of() inlined: this getattr runs once per
-                # inbound part, the hottest line of the service tier.
-                register_id = getattr(part, "register_id",
-                                      DEFAULT_REGISTER)
-                operation = pending.get(register_id)
-                if operation is None or operation.done:
-                    continue  # stale traffic for a finished operation
-                group = vector.get(register_id)
-                if group is not None:
-                    # Vector path: record now, decide at burst end.
-                    try:
-                        operation.absorb(sender, part)
-                    except Exception as exc:
-                        self._fail_vector(group, exc)
-                        continue
-                    if not getattr(operation, "_vector_dirty", False):
-                        operation._vector_dirty = True
-                        group.dirty.append(operation)
-                        if len(group.dirty) == 1:
-                            touched.append(group)
-                    continue
-                try:
-                    outgoing.extend(
-                        operation.on_message(sender, part)
-                        or [])
-                except Exception as exc:
-                    # A broken operation must not stop the consumer (it
-                    # serves every other register) nor hang its caller:
-                    # fail its waiter and drop it.
-                    self._evict(operation, exc)
-                    continue
-                if operation.done:
-                    settled.append((register_id, operation))
-        for group in touched:
-            self._advance_vector(group)
-        try:
-            self._dispatch(outgoing)
-        except Exception as exc:
-            # Undeliverable sends lose messages for an unknowable subset
-            # of operations; failing every blocked waiter beats hanging.
-            for operation in list(self._pending.values()):
-                self._evict(operation, exc)
-        for register_id, operation in settled:
-            self._settle(register_id, operation)
+            if deadline is not None:
+                deadline.cancel()
+            if group.remaining:
+                # A timeout or failure withdrew the unfinished members
+                # already; a caller's cancellation did not.
+                for operation in operations:
+                    self._withdraw(operation)
 
     # -- operations ----------------------------------------------------------
     async def run(self, operation: ClientOperation,
@@ -554,92 +484,27 @@ class MuxClientHost:
                   record: bool = True) -> Any:
         """Run one operation; concurrent calls must target distinct registers.
 
-        ``record=False`` keeps the operation out of the shared history:
-        control-plane replays re-install values that already have history
-        records, and recording the duplicate would distort the checkers'
-        write serialization.
+        The one-member case of :meth:`run_many`.  ``record=False`` keeps
+        the operation out of the shared history: control-plane replays
+        re-install values that already have history records, and
+        recording the duplicate would distort the checkers' write
+        serialization.
         """
         self.start()
-        future = self._admit(operation, record=record)
-        self._dispatch(operation.start() or [])
-        if operation.done:  # zero-communication completion
-            self._settle(operation.register_id, operation)
-            return operation.result
-        try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
-        finally:
-            # On timeout *or* caller cancellation the operation must be
-            # withdrawn, or its register would refuse work forever.
-            if not operation.done:
-                self._pending.pop(operation.register_id, None)
-                self._waiters.pop(operation.register_id, None)
+        results = await self._run_group([operation], timeout, record)
+        return results[0]
 
     async def run_many(self, operations: Iterable[ClientOperation],
                        timeout: Optional[float] = None) -> List[Any]:
         """Run a batch of same-client operations, one per register.
 
-        Batches ride the *vector round engine*: every round's messages
-        leave as one :class:`Batch` frame per base object (R registers
-        writing to S objects cost S frames per step, not R x S), inbound
-        ack frames are absorbed part by part, and each member operation
-        advances once per burst with its quorum conditions evaluated
-        over the whole burst's evidence.  Operations that do not expose
-        a ``config`` (the broadcast width) fall back to the classic
-        per-operation path with first-round coalescing.
+        Every round of the batch leaves as one :class:`Batch` frame per
+        base object (R registers writing to S objects cost S frames per
+        step, not R x S), inbound ack frames are absorbed part by part,
+        and each member operation advances once per burst with its
+        quorum conditions evaluated over the whole burst's evidence.  The
+        first member failure (or the deadline) fails the batch and
+        withdraws every unfinished sibling.
         """
-        operations = list(operations)
         self.start()
-        if self.batching and len(operations) > 1 and operations:
-            num_objects = getattr(
-                getattr(operations[0], "config", None), "num_objects", None)
-            if num_objects is not None and all(
-                    getattr(getattr(op, "config", None), "num_objects",
-                            None) == num_objects
-                    for op in operations):
-                return await self._run_vector(operations, timeout)
-        futures = []
-        try:
-            for operation in operations:
-                futures.append(self._admit(operation))
-        except Exception:
-            # Roll back every operation this call admitted: their start()
-            # never ran, so leaving them pending would brick the registers
-            # -- and their invocation records must go too, or the shared
-            # history would accumulate phantom forever-pending writes that
-            # every later read counts as concurrent.
-            for operation, future in zip(operations, futures):
-                self._pending.pop(operation.register_id, None)
-                self._waiters.pop(operation.register_id, None)
-                future.cancel()
-                if self.history is not None:
-                    self.history.discard_invocation(operation.operation_id)
-            raise
-        first_round: Outgoing = []
-        for operation in operations:
-            first_round.extend(operation.start() or [])
-        self._dispatch(first_round)
-        for operation in operations:
-            if operation.done:
-                self._settle(operation.register_id, operation)
-        gathered = asyncio.gather(*futures)
-        try:
-            if timeout is None:
-                return await gathered
-            return await asyncio.wait_for(gathered, timeout)
-        except BaseException:
-            # One operation failing (or the batch timing out) must not
-            # leave its siblings dangling: cancel every unfinished waiter
-            # so their exceptions are consumed and nothing awaits a
-            # future the cleanup below is about to orphan.  The first
-            # failure propagates to the caller.
-            for future in futures:
-                if not future.done():
-                    future.cancel()
-            raise
-        finally:
-            for operation in operations:
-                if not operation.done:
-                    self._pending.pop(operation.register_id, None)
-                    self._waiters.pop(operation.register_id, None)
+        return await self._run_group(list(operations), timeout)

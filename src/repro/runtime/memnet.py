@@ -22,9 +22,11 @@ deterministic without jitter; ``jitter > 0`` gives every message a
 seeded delay of its own before it lands in the same mailboxes.
 
 Loop hold: one flush runs until no mailbox is ready, i.e. it does the
-message work of the operations in flight and no more -- only a
-task-level ``run()``/``run_many()`` starts an operation, so callers
-resume, and other tasks run, between any two calls of a session.
+message work of the operations in flight and no more.  Only a
+task-level ``run()``/``run_many()`` starts an operation -- both drive
+the client host's one vector round engine, and a call's deadline is a
+``call_later`` timer on its future -- so callers resume, and other
+tasks run, between any two calls of a session.
 """
 
 from __future__ import annotations

@@ -637,7 +637,6 @@ class ProcMultiRegisterStore(MultiRegisterStore):
                  granularity: str = "group",
                  jitter: float = 0.0, seed: int = 0,
                  default_timeout: Optional[float] = 30.0,
-                 batching: bool = True,
                  max_pending_per_host: Optional[int] = None,
                  record_history: bool = False,
                  history=None,
@@ -653,7 +652,6 @@ class ProcMultiRegisterStore(MultiRegisterStore):
             on_restart=self._handle_restart)
         super().__init__(protocol_factory(), config, jitter=jitter,
                          seed=seed, default_timeout=default_timeout,
-                         batching=batching,
                          max_pending_per_host=max_pending_per_host,
                          record_history=record_history, history=history)
 

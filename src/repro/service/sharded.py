@@ -79,7 +79,6 @@ class ShardedKVStore:
                  config: SystemConfig, num_shards: int = 2,
                  jitter: float = 0.0, seed: int = 0, vnodes: int = 64,
                  default_timeout: Optional[float] = 30.0,
-                 batching: bool = True,
                  max_pending_per_host: Optional[int] = None,
                  record_history: bool = False,
                  data_dir: Optional[str] = None,
@@ -106,7 +105,6 @@ class ShardedKVStore:
         self._jitter = jitter
         self._seed = seed
         self._default_timeout = default_timeout
-        self._batching = batching
         self._max_pending = max_pending_per_host
         self._granularity = granularity
         self._auto_heal = auto_heal
@@ -147,7 +145,6 @@ class ShardedKVStore:
                 granularity=self._granularity,
                 jitter=self._jitter, seed=self._seed + shard_id,
                 default_timeout=self._default_timeout,
-                batching=self._batching,
                 max_pending_per_host=self._max_pending,
                 history=self.history,
                 on_replica_restart=(
@@ -158,7 +155,6 @@ class ShardedKVStore:
                                        jitter=self._jitter,
                                        seed=self._seed + shard_id,
                                        default_timeout=self._default_timeout,
-                                       batching=self._batching,
                                        max_pending_per_host=self._max_pending,
                                        history=self.history)
         if self._fast_reads and store.protocol.supports_fast_reads:

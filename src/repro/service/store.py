@@ -14,9 +14,9 @@ Per-register protocol state lives in the object automata's register
 slots (server side) and in lazily created writer/reader states (client
 side).  Client processes are multiplexed too: one
 :class:`~repro.runtime.hosts.MuxClientHost` per process drives one
-operation per register concurrently and coalesces same-step messages to
-the same object into single :class:`~repro.messages.Batch` envelopes --
-the service tier's write batching.
+operation per register concurrently, and every call rides its vector
+rounds: each step leaves as a single :class:`~repro.messages.Batch`
+envelope per object.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class MultiRegisterStore:
     def __init__(self, protocol: StorageProtocol, config: SystemConfig,
                  jitter: float = 0.0, seed: int = 0,
                  default_timeout: Optional[float] = 30.0,
-                 batching: bool = True,
                  max_pending_per_host: Optional[int] = None,
                  record_history: bool = False,
                  history: Optional[History] = None,
@@ -67,7 +66,6 @@ class MultiRegisterStore:
         self.history: Optional[History] = (
             history if history is not None
             else (History() if record_history else None))
-        self._batching = batching
         self._max_pending = max_pending_per_host
         self._object_hosts: List[ObjectHost] = self._make_object_hosts()
         self._states = protocol.client_states(config)
@@ -93,7 +91,7 @@ class MultiRegisterStore:
                 for automaton in self.protocol.make_objects(self.config)]
 
     def _make_client_host(self, pid) -> MuxClientHost:
-        return MuxClientHost(pid, self.network, batching=self._batching,
+        return MuxClientHost(pid, self.network,
                              max_pending=self._max_pending,
                              history=self.history)
 
@@ -126,8 +124,7 @@ class MultiRegisterStore:
         self._require_started()
         if self._control_host is None:
             self._control_host = MuxClientHost(
-                writer(CONTROL_WRITER_INDEX), self.network,
-                batching=self._batching)
+                writer(CONTROL_WRITER_INDEX), self.network)
         return self._control_host
 
     # -- lifecycle ----------------------------------------------------------
@@ -159,13 +156,18 @@ class MultiRegisterStore:
         Used before retiring a store (shard drain): operations admitted
         earlier complete normally instead of being evicted by
         ``stop()``.  New admissions are the caller's responsibility to
-        prevent (e.g. by flipping routing away first).
+        prevent (e.g. by flipping routing away first).  The wait sleeps
+        on the calls' own futures, so a drain behind an operation that
+        can only time out costs no CPU until the deadline fails it.
         """
         hosts = list(self._writer_hosts.values()) + self._reader_hosts
         if self._control_host is not None:
             hosts.append(self._control_host)
-        while any(host._pending for host in hosts):
-            await asyncio.sleep(0)
+        while True:
+            calls = set().union(*(host.in_flight() for host in hosts))
+            if not calls:
+                return
+            await asyncio.wait(calls)
 
     async def __aenter__(self) -> "MultiRegisterStore":
         return await self.start()

@@ -301,6 +301,7 @@ class TestObjectHost:
 
 class _Stuck(ClientOperation):
     kind = "READ"
+    config = CONFIG
 
     def start(self):
         return []

@@ -2,6 +2,7 @@
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -361,6 +362,28 @@ class TestLifecycle:
             return others
 
         assert run(scenario()) == []
+
+    def test_quiesce_sleeps_behind_a_stuck_operation(self, config):
+        """A drain behind an operation no quorum can finish awaits the
+        call's future; it does not spin the loop until the deadline."""
+        async def scenario():
+            async with MultiRegisterStore(CachedRegularStorageProtocol(),
+                                          config) as store:
+                await store.write("k", "v1")
+                for index in range(config.t + 1):
+                    store.crash_object(index)
+                stuck = asyncio.ensure_future(
+                    store.write("k", "v2", timeout=0.2))
+                await asyncio.sleep(0)
+                assert store._writer_hosts[0]._pending
+                cpu = time.process_time()
+                await store.quiesce()
+                spent = time.process_time() - cpu
+                with pytest.raises(asyncio.TimeoutError):
+                    await stuck
+                return spent
+
+        assert run(scenario()) < 0.05
 
     def test_sharded_stop_is_idempotent_and_guarded(self, config):
         async def scenario():
