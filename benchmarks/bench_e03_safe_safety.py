@@ -2,7 +2,7 @@
 
 from conftest import regenerate
 
-from repro.adversary import forger, max_byzantine
+from repro.adversary import max_byzantine
 from repro.config import SystemConfig
 from repro.core.safe import SafeStorageProtocol
 from repro.system import StorageSystem
@@ -17,7 +17,7 @@ def test_e03_read_under_forgery_cost(benchmark):
     config = SystemConfig.optimal(t=2, b=1, num_readers=1)
     system = StorageSystem(SafeStorageProtocol(), config,
                            trace_enabled=False)
-    max_byzantine(config, forger()).apply(system)
+    max_byzantine(config).apply(system)
     system.write("genuine")
 
     value = benchmark(lambda: system.read(0))

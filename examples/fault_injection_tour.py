@@ -10,29 +10,31 @@ violation (the reason the S >= 2t+b+1 guard exists).
 Run:  python examples/fault_injection_tour.py
 """
 
+from functools import partial
+
 from repro import StorageSystem, SystemConfig
-from repro.adversary import (forger, garbage, max_byzantine, mute, stale,
-                             tsr_inflater)
+from repro.adversary import (GarbageByzantine, MuteByzantine, StaleReplier,
+                             TsrInflater, ValueForger, max_byzantine)
 from repro.core.safe import SafeStorageProtocol
 from repro.harness.experiments.e10_resilience import _stale_write_attack
 from repro.spec import check_safety
 
 TOUR = [
-    (mute(), "mute",
+    (MuteByzantine, "mute",
      "stays silent; indistinguishable from a crash. Absorbed because "
      "every wait condition needs only S-t responders."),
-    (stale(), "stale replier",
+    (StaleReplier, "stale replier",
      "pretends the write never happened. Absorbed because b+1 matching "
      "confirmations are required and at most b objects can lie."),
-    (forger(), "value forger",
+    (ValueForger, "value forger",
      "invents a high-timestamp value. Absorbed for the same reason: a "
      "never-written tuple gathers at most b supporters, so safe(c) "
      "never holds for it, and t+b+1 honest denials eliminate it."),
-    (tsr_inflater(), "tsr inflater",
+    (TsrInflater, "tsr inflater",
      "accuses honest objects of reporting future reader timestamps, "
      "trying to wedge round 1. Absorbed by the conflict predicate: the "
      "reader routes around accuser/accused pairs (Lemma 1/2)."),
-    (garbage(seed=3), "random garbage",
+    (partial(GarbageByzantine, seed=3), "random garbage",
      "emits arbitrary well-typed junk. Absorbed by all of the above in "
      "combination."),
 ]

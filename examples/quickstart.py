@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import SafeStorageProtocol, StorageSystem, SystemConfig
-from repro.adversary import forger, max_byzantine
+from repro.adversary import build_strategy, max_byzantine, spec_of
 from repro.spec import check_round_complexity, check_safety
 
 
@@ -31,7 +31,8 @@ def main() -> None:
     print(f"after crashing s1, r1 reads: {system.read(0)!r}")
 
     # 3. corrupt a Byzantine object ---------------------------------------
-    plan = max_byzantine(config, forger(value="FORGED", ts_boost=10**6))
+    plan = max_byzantine(config, build_strategy(
+        spec_of("forger", forged_value="FORGED", ts_boost=10**6)))
     fresh = StorageSystem(SafeStorageProtocol(), config)
     plan.apply(fresh)
     fresh.write("the-truth")

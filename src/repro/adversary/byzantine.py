@@ -3,8 +3,7 @@
 The model (Section 2.1) lets a malicious object change state arbitrarily
 and put arbitrary messages into its channels.  Each class here is one
 *strategy* -- a drop-in :class:`~repro.automata.base.ObjectAutomaton` that
-usually wraps the honest automaton and distorts its behaviour.  They fall
-into three families:
+usually wraps the honest automaton and distorts its behaviour:
 
 * **omission-flavoured**: :class:`MuteByzantine` (never answers),
   :class:`StaleReplier` (answers from a frozen pre-write state);
@@ -16,33 +15,78 @@ into three families:
   :class:`TsrInflater` fabricates write tuples whose ``tsrarray`` accuses
   honest objects of reporting future reader timestamps (the attack the
   *conflict* predicate of Figure 4 exists to absorb), and
-  :class:`Equivocator` shows different states to different readers.
+  :class:`Equivocator` shows different states to different readers;
+* **timing and bundling**: :class:`DelayThenForge` (withholds, then
+  forges), :class:`BadAggregator` (drops and duplicates reply parts);
+* **combinators** that nest other strategies: :class:`SwitchingByzantine`
+  (switches at delivery thresholds), :class:`ProbabilisticByzantine`
+  (corrupts each delivery with probability ``p``).
 
 Strategies never get to forge their *identity*: the kernel stamps envelope
 senders, matching authenticated point-to-point channels.
+
+Every strategy is also *data*: a class declares its registered name in
+``strategy`` and takes its parameters as constructor keywords, so a
+spec such as ``{"name": "forger", "params": {"ts_boost": 77}}`` (the
+chaos schedule DSL's ``corrupt`` events) resolves through
+:func:`build_strategy` to ``partial(ValueForger, ts_boost=77)``.  All
+strategy randomness derives from the seed :func:`build_strategy` is
+given, so a schedule's master seed determines every forged bit.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import inspect
 import random
-from typing import Any, List, Optional
+from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..automata.base import ObjectAutomaton, Outgoing
 from ..config import SystemConfig
+from ..errors import ConfigurationError
 from ..messages import (HistoryEntry, HistoryReadAck, LeaseProbeAck, Pw,
-                        PwAck, ReadAck, ReadRequest, TagQueryAck, W,
-                        WriteAck)
+                        PwAck, ReadAck, ReadRequest, TagQueryAck, W)
+from ..seeds import derive_seed
 from ..types import (BOTTOM, ProcessId, TimestampValue, TsrArray, WriterTag,
                      WriteTuple, as_tag)
 
+#: A strategy factory: (honest automaton, config) -> Byzantine automaton.
+StrategyFactory = Callable[[ObjectAutomaton, SystemConfig], ObjectAutomaton]
+
+#: A strategy spec: a registered name, or a mapping with ``name`` and
+#: optional ``params`` (which may nest further specs for combinators).
+StrategySpec = Union[str, Mapping[str, Any]]
+
+#: Registered name -> strategy constructor ``(inner, config, **params)``.
+STRATEGIES: Dict[str, Callable[..., ObjectAutomaton]] = {}
+
+
+def _register(name: str, constructor: Callable[..., ObjectAutomaton]) -> None:
+    if name in STRATEGIES:
+        raise ConfigurationError(f"duplicate strategy name {name!r}")
+    STRATEGIES[name] = constructor
+
 
 class ByzantineWrapper(ObjectAutomaton):
-    """Base class: run the honest automaton, distort its replies."""
+    """Base class: run the honest automaton, distort its replies.
 
-    def __init__(self, inner: ObjectAutomaton):
+    A subclass that sets ``strategy`` is registered under that name; one
+    that sets none (a test double, say) is not.
+    """
+
+    strategy: ClassVar[str] = ""
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "strategy" in vars(cls):
+            _register(cls.strategy, cls)
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig):
         super().__init__(inner.object_index)
         self.inner = inner
+        self.config = config
 
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
         replies = self.inner.on_message(sender, message)
@@ -61,6 +105,8 @@ class MuteByzantine(ByzantineWrapper):
     against ``b``; useful to check protocols do not over-trust silence.
     """
 
+    strategy = "silent"
+
     def transform(self, sender: ProcessId, message: Any,
                   replies: Outgoing) -> Outgoing:
         return []
@@ -74,8 +120,10 @@ class StaleReplier(ByzantineWrapper):
     forever.  A classic "stale mirror" failure.
     """
 
-    def __init__(self, inner: ObjectAutomaton):
-        super().__init__(inner)
+    strategy = "stale"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig):
+        super().__init__(inner, config)
         self._frozen = copy.deepcopy(inner)
 
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
@@ -97,8 +145,10 @@ class TwoFaced(ByzantineWrapper):
     show what the ``S >= 2t + b + 1`` guard is protecting against.
     """
 
-    def __init__(self, inner: ObjectAutomaton):
-        super().__init__(inner)
+    strategy = "two-faced"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig):
+        super().__init__(inner, config)
         self._frozen = copy.deepcopy(inner)
 
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
@@ -117,12 +167,13 @@ class ValueForger(ByzantineWrapper):
     -- the safety theorem in action.
     """
 
+    strategy = "forger"
+
     def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
                  forged_value: Any = "FORGED", ts_boost: int = 1000):
-        super().__init__(inner)
-        self.config = config
+        super().__init__(inner, config)
         self.forged_value = forged_value
-        self.ts_boost = ts_boost
+        self.ts_boost = int(ts_boost)
 
     def _forged_tuple(self, base_ts: int) -> WriteTuple:
         tsval = TimestampValue(base_ts + self.ts_boost, self.forged_value)
@@ -167,11 +218,12 @@ class HistoryForger(ByzantineWrapper):
     forger claims write ``target_ts`` installed ``forged_value``.
     """
 
+    strategy = "history-forger"
+
     def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
-                 target_ts: int, forged_value: Any = "REWRITTEN"):
-        super().__init__(inner)
-        self.config = config
-        self.target_ts = target_ts
+                 target_ts: int = 1, forged_value: Any = "REWRITTEN"):
+        super().__init__(inner, config)
+        self.target_ts = int(target_ts)
         self.forged_value = forged_value
 
     def transform(self, sender: ProcessId, message: Any,
@@ -206,11 +258,12 @@ class TsrInflater(ByzantineWrapper):
     forever (Lemma 2 territory).
     """
 
+    strategy = "tsr-inflater"
+
     def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
                  accused: Optional[List[int]] = None, inflation: int = 10**6):
-        super().__init__(inner)
-        self.config = config
-        self.accused = (list(accused) if accused is not None
+        super().__init__(inner, config)
+        self.accused = ([int(i) for i in accused] if accused is not None
                         else list(range(config.num_objects)))
         self.inflation = inflation
 
@@ -242,8 +295,10 @@ class TsrInflater(ByzantineWrapper):
 class Equivocator(ByzantineWrapper):
     """Shows honest state to even readers, a frozen state to odd ones."""
 
-    def __init__(self, inner: ObjectAutomaton):
-        super().__init__(inner)
+    strategy = "equivocation"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig):
+        super().__init__(inner, config)
         self._stale = copy.deepcopy(inner)
 
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
@@ -259,11 +314,12 @@ class AckFlooder(ByzantineWrapper):
     object must never be double counted toward ``b + 1`` confirmations.
     """
 
+    strategy = "ack-flooder"
+
     def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
                  copies: int = 3):
-        super().__init__(inner)
-        self.config = config
-        self.copies = copies
+        super().__init__(inner, config)
+        self.copies = int(copies)
 
     def transform(self, sender: ProcessId, message: Any,
                   replies: Outgoing) -> Outgoing:
@@ -302,11 +358,12 @@ class StaleTagForger(ByzantineWrapper):
     quorum majority that must -- and does -- outvote it.
     """
 
+    strategy = "stale-tag"
+
     def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
                  forged_tag: WriterTag = WriterTag(0, 0),
                  forged_value: Any = "STALE-TAG"):
-        super().__init__(inner)
-        self.config = config
+        super().__init__(inner, config)
         self.forged_tag = as_tag(forged_tag)
         self.forged_value = forged_value
 
@@ -378,10 +435,11 @@ class StaleTagForger(ByzantineWrapper):
 class GarbageByzantine(ByzantineWrapper):
     """Seeded random but type-correct distortions of every reply."""
 
+    strategy = "random-noise"
+
     def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
                  seed: int = 0):
-        super().__init__(inner)
-        self.config = config
+        super().__init__(inner, config)
         self._rng = random.Random(seed)
 
     def transform(self, sender: ProcessId, message: Any,
@@ -410,3 +468,202 @@ class GarbageByzantine(ByzantineWrapper):
                 )
             out.append((receiver, payload))
         return out
+
+
+class DelayThenForge(ByzantineWrapper):
+    """Withholds its first ``quiet`` replies, then releases them forged.
+
+    The paper's adversary controls *when* a corrupt object speaks as
+    much as *what* it says: withheld acks make the object look slow (so
+    clients settle on the remaining quorum), then the backlog arrives
+    carrying an inflated-timestamp forgery.  A correct reader must still
+    demand ``b + 1`` confirmations before believing the late wave.
+    """
+
+    strategy = "delay-then-forge"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
+                 quiet: int = 3, forged_value: Any = "LATE-FORGE",
+                 ts_boost: int = 500):
+        super().__init__(inner, config)
+        self.quiet = int(quiet)
+        self._forger = ValueForger(inner, config, forged_value, ts_boost)
+        self._held: List[Tuple[ProcessId, Any]] = []
+        self._seen = 0
+
+    def transform(self, sender: ProcessId, message: Any,
+                  replies: Outgoing) -> Outgoing:
+        self._seen += 1
+        if self._seen <= self.quiet:
+            self._held.extend(replies)
+            return []
+        backlog = self._held + list(replies)
+        self._held = []
+        return self._forger.transform(sender, message, backlog)
+
+
+class BadAggregator(ByzantineWrapper):
+    """Mangles multi-reply responses: drops and duplicates reply parts.
+
+    Batched rounds expect each object to contribute one coherent bundle
+    of acks; a bad aggregator breaks the bundle invariant -- some parts
+    vanish, others arrive twice -- without forging any individual
+    payload.  Readers' set semantics (count evidence per object, not per
+    message) are what must absorb this.
+    """
+
+    strategy = "bad-aggregator"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
+                 drop_p: float = 0.3, dup_p: float = 0.3, seed: int = 0):
+        super().__init__(inner, config)
+        self.drop_p = float(drop_p)
+        self.dup_p = float(dup_p)
+        self._rng = random.Random(derive_seed(seed, "rolls"))
+
+    def transform(self, sender: ProcessId, message: Any,
+                  replies: Outgoing) -> Outgoing:
+        out: Outgoing = []
+        for pair in replies:
+            roll = self._rng.random()
+            if roll < self.drop_p:
+                continue
+            out.append(pair)
+            if roll > 1.0 - self.dup_p:
+                out.append(pair)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# Combinators: strategies whose params nest further strategy specs
+# ---------------------------------------------------------------------------
+
+
+class SwitchingByzantine(ByzantineWrapper):
+    """Time-varying conduct: switch behaviour at delivery thresholds.
+
+    ``stages`` is a list of ``{"after": n, "strategy": spec}``: a stage
+    takes over once the object has handled ``n`` deliveries, and a stage
+    without a ``strategy`` is honest.  The last stage whose threshold has
+    been reached is active.  Stage automata share the wrapped honest
+    ``inner`` (each is a wrapper around the same state), so state learned
+    while honest carries into the corrupt phase.
+    """
+
+    strategy = "sequence"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
+                 stages: Sequence[Mapping[str, Any]], seed: int = 0):
+        if not stages:
+            raise ConfigurationError("sequence strategy needs 'stages'")
+        self._switch(inner, config, [
+            (stage.get("after", 0), stage.get("strategy"),
+             derive_seed(seed, "stage", index))
+            for index, stage in enumerate(stages)])
+
+    @classmethod
+    def after_step(cls, inner: ObjectAutomaton, config: SystemConfig,
+                   after: int = 5, strategy: StrategySpec = "forger",
+                   seed: int = 0) -> "SwitchingByzantine":
+        """Honest until ``after`` deliveries, then ``strategy``'s conduct."""
+        switching = cls.__new__(cls)
+        switching._switch(inner, config, [
+            (0, None, 0), (after, strategy, derive_seed(seed, "sub"))])
+        return switching
+
+    def _switch(self, inner: ObjectAutomaton, config: SystemConfig,
+                stages: List[Tuple[Any, Optional[StrategySpec], int]]
+                ) -> None:
+        ByzantineWrapper.__init__(self, inner, config)
+        self.stages = sorted(
+            ((int(after), inner if spec is None
+              else build_strategy(spec, stage_seed)(inner, config))
+             for after, spec, stage_seed in stages),
+            key=lambda pair: pair[0])
+        self.deliveries = 0
+
+    def _active(self) -> ObjectAutomaton:
+        chosen = self.inner
+        for threshold, automaton in self.stages:
+            if self.deliveries >= threshold:
+                chosen = automaton
+        return chosen
+
+    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
+        automaton = self._active()
+        self.deliveries += 1
+        return automaton.on_message(sender, message)
+
+
+_register("after-step", SwitchingByzantine.after_step)
+
+
+class ProbabilisticByzantine(ByzantineWrapper):
+    """Flips a seeded coin per delivery: ``strategy``'s conduct with
+    probability ``p``, honest otherwise.
+
+    Models intermittent corruption -- a replica that only sometimes
+    lies is harder to vote out and exercises per-message (rather than
+    per-process) fault absorption.
+    """
+
+    strategy = "probabilistic"
+
+    def __init__(self, inner: ObjectAutomaton, config: SystemConfig,
+                 p: float = 0.5, strategy: StrategySpec = "forger",
+                 seed: int = 0):
+        super().__init__(inner, config)
+        self.corrupt = build_strategy(
+            strategy, derive_seed(seed, "sub"))(inner, config)
+        self.p = float(p)
+        if not 0.0 <= self.p <= 1.0:
+            raise ConfigurationError(f"probability {self.p} outside [0, 1]")
+        self._rng = random.Random(derive_seed(seed, "coin"))
+
+    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
+        if self._rng.random() < self.p:
+            return self.corrupt.on_message(sender, message)
+        return self.inner.on_message(sender, message)
+
+
+# ---------------------------------------------------------------------------
+# Specs -> factories
+# ---------------------------------------------------------------------------
+
+
+def strategy_names() -> List[str]:
+    return sorted(STRATEGIES)
+
+
+def spec_of(name: str, **params: Any) -> Dict[str, Any]:
+    """Convenience spec constructor: ``spec_of('forger', ts_boost=7)``."""
+    return {"name": name, "params": params}
+
+
+def build_strategy(spec: StrategySpec, seed: int = 0) -> StrategyFactory:
+    """Resolve a spec into a ``StrategyFactory``: the registered
+    constructor with the spec's ``params`` bound as keywords.
+
+    ``seed`` is the master chaos seed scope for this strategy: a
+    constructor that takes a ``seed`` gets one derived from it, and
+    derives its own sub-seeds (nested strategies, coin flips) from that.
+    """
+    if isinstance(spec, str):
+        name, params = spec, {}
+    else:
+        name, params = spec.get("name"), spec.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ConfigurationError(
+                f"strategy params must be a mapping: {spec!r}")
+    constructor = STRATEGIES.get(name)
+    if constructor is None:
+        raise ConfigurationError(
+            f"unknown strategy {name!r}; known: {', '.join(strategy_names())}")
+    signature = inspect.signature(constructor)
+    if "seed" in signature.parameters:
+        params = {**params, "seed": derive_seed(seed, "strategy", name)}
+    try:
+        signature.bind(None, None, **params)
+    except TypeError as exc:
+        raise ConfigurationError(f"strategy {name!r}: {exc}") from None
+    return functools.partial(constructor, **params) if params else constructor

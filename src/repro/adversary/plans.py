@@ -10,41 +10,37 @@ corner cases (all-crash, all-Byzantine, mixed, maximal) mechanically.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from functools import partial
+from typing import AbstractSet, Dict, List, Optional
 
-from ..automata.base import ObjectAutomaton
 from ..config import SystemConfig
 from ..errors import ConfigurationError
 from ..system import StorageSystem
 from ..types import obj
-from .byzantine import (ByzantineWrapper, GarbageByzantine, MuteByzantine,
-                        StaleReplier, TsrInflater, ValueForger)
-
-#: A strategy factory: (honest automaton, config) -> Byzantine automaton.
-StrategyFactory = Callable[[ObjectAutomaton, SystemConfig], ObjectAutomaton]
+from .byzantine import (GarbageByzantine, MuteByzantine, StaleReplier,
+                        StrategyFactory, TsrInflater, ValueForger)
 
 
-def mute() -> StrategyFactory:
-    return lambda inner, config: MuteByzantine(inner)
-
-
-def stale() -> StrategyFactory:
-    return lambda inner, config: StaleReplier(inner)
-
-
-def forger(value="FORGED", ts_boost: int = 1000) -> StrategyFactory:
-    return lambda inner, config: ValueForger(inner, config, value, ts_boost)
-
-
-def tsr_inflater(accused: Optional[List[int]] = None) -> StrategyFactory:
-    return lambda inner, config: TsrInflater(inner, config, accused)
-
-
-def garbage(seed: int = 0) -> StrategyFactory:
-    return lambda inner, config: GarbageByzantine(inner, config, seed)
+def budget_problems(config: SystemConfig, crashed: AbstractSet[int],
+                    corrupted: AbstractSet[int]) -> List[str]:
+    """Every way a crash/corruption assignment breaks the ``(t, b)``
+    budget: out-of-range indices, an object both crashed and corrupted,
+    more than ``b`` Byzantine, more than ``t`` faulty."""
+    faulty = crashed | corrupted
+    problems = [f"object index {i} out of range" for i in sorted(faulty)
+                if not 0 <= i < config.num_objects]
+    both = sorted(crashed & corrupted)
+    if both:
+        problems.append(f"objects {both} both crashed and corrupted")
+    if len(corrupted) > config.b:
+        problems.append(
+            f"{len(corrupted)} corrupted objects exceed b={config.b}")
+    if len(faulty) > config.t:
+        problems.append(
+            f"{len(faulty)} faulty objects exceed t={config.t}")
+    return problems
 
 
 @dataclass
@@ -56,21 +52,10 @@ class FaultPlan:
     label: str = ""
 
     def validate(self, config: SystemConfig) -> None:
-        crash = set(self.crash_indices)
-        byz = set(self.byzantine)
-        if crash & byz:
-            raise ConfigurationError(
-                f"objects {sorted(crash & byz)} assigned both crash and "
-                "Byzantine faults; pick one")
-        for i in crash | byz:
-            if not 0 <= i < config.num_objects:
-                raise ConfigurationError(f"object index {i} out of range")
-        if len(byz) > config.b:
-            raise ConfigurationError(
-                f"{len(byz)} Byzantine objects exceed b={config.b}")
-        if len(crash) + len(byz) > config.t:
-            raise ConfigurationError(
-                f"{len(crash) + len(byz)} faults exceed t={config.t}")
+        problems = budget_problems(config, set(self.crash_indices),
+                                   set(self.byzantine))
+        if problems:
+            raise ConfigurationError(problems[0])
 
     def apply(self, system: StorageSystem) -> None:
         """Install the faults into a system (before or during a run)."""
@@ -79,9 +64,8 @@ class FaultPlan:
             system.kernel.crash(obj(i))
         for i, factory in self.byzantine.items():
             honest = system.kernel.object_automaton(obj(i))
-            corrupted = factory(honest, system.config)
-            system.kernel.make_byzantine(obj(i), corrupted,
-                                         note=type(corrupted).__name__)
+            system.kernel.make_byzantine(obj(i),
+                                         factory(honest, system.config))
 
     def describe(self) -> str:
         if self.label:
@@ -114,7 +98,7 @@ def max_crashes(config: SystemConfig) -> FaultPlan:
 def max_byzantine(config: SystemConfig,
                   strategy: Optional[StrategyFactory] = None) -> FaultPlan:
     """Corrupt ``b`` objects, crash the remaining ``t - b``."""
-    strategy = strategy or forger()
+    strategy = strategy or ValueForger
     byz = {i: strategy for i in range(config.b)}
     crash = list(range(config.b, config.t))
     return FaultPlan(crash_indices=crash, byzantine=byz,
@@ -126,11 +110,11 @@ def adversarial_suite(config: SystemConfig) -> List[FaultPlan]:
     plans = [no_faults(), max_crashes(config)]
     if config.b > 0:
         for name, strategy in [
-            ("mute", mute()),
-            ("stale", stale()),
-            ("forger", forger()),
-            ("tsr-inflater", tsr_inflater()),
-            ("garbage", garbage(seed=7)),
+            ("mute", MuteByzantine),
+            ("stale", StaleReplier),
+            ("forger", ValueForger),
+            ("tsr-inflater", TsrInflater),
+            ("garbage", partial(GarbageByzantine, seed=7)),
         ]:
             plan = max_byzantine(config, strategy)
             plan.label = f"{plan.label} ({name})"
@@ -148,32 +132,10 @@ def random_plan(config: SystemConfig, seed: int) -> FaultPlan:
     byz_indices = indices[:num_byz]
     crash_indices = indices[num_byz:num_byz + num_crash]
     strategies: List[StrategyFactory] = [
-        mute(), stale(), forger(), tsr_inflater(), garbage(seed)
+        MuteByzantine, StaleReplier, ValueForger, TsrInflater,
+        partial(GarbageByzantine, seed=seed)
     ]
     byz = {i: rng.choice(strategies) for i in byz_indices}
     return FaultPlan(crash_indices=crash_indices, byzantine=byz,
                      label=f"random(seed={seed})")
 
-
-def all_fault_assignments(config: SystemConfig,
-                          strategy: Optional[StrategyFactory] = None,
-                          limit: int = 100) -> Iterator[FaultPlan]:
-    """Enumerate (up to ``limit``) exact fault-location assignments.
-
-    Useful for exhaustively checking small configurations: every way of
-    choosing ``b`` Byzantine and ``t - b`` crashed objects.
-    """
-    strategy = strategy or forger()
-    count = 0
-    indices = range(config.num_objects)
-    for byz_set in itertools.combinations(indices, config.b):
-        rest = [i for i in indices if i not in byz_set]
-        for crash_set in itertools.combinations(rest, config.t - config.b):
-            yield FaultPlan(
-                crash_indices=list(crash_set),
-                byzantine={i: strategy for i in byz_set},
-                label=f"byz={byz_set} crash={crash_set}",
-            )
-            count += 1
-            if count >= limit:
-                return

@@ -16,10 +16,7 @@ general case for mechanically checking protocol-implementation parity):
   :func:`~repro.automata.base.resolve_batch_handler`;
 * :mod:`.rules_determinism` -- SimKernel-reachable modules must stay
   deterministic: no ambient wall clocks, no process-global RNG, no
-  unordered-set iteration flowing into message payloads;
-* :mod:`.rules_chaos` -- every ``ByzantineWrapper`` subclass must be
-  reachable from the chaos strategy registry, so the seeded chaos
-  sweep stays exhaustive as strategies grow.
+  unordered-set iteration flowing into message payloads.
 
 Run it as ``python -m repro.analysis [paths...]`` or via the
 ``reprolint`` console script; suppress a deliberate violation with
@@ -31,7 +28,6 @@ from .core import (Finding, ProjectRule, Rule, SourceFile, all_rules,
 
 # Importing the rule modules registers every rule with the registry.
 from . import rules_async  # noqa: E402,F401  (import-for-effect)
-from . import rules_chaos  # noqa: E402,F401
 from . import rules_determinism  # noqa: E402,F401
 from . import rules_registry  # noqa: E402,F401
 

@@ -5,9 +5,6 @@ The paper's theorems quantify over *every* execution under the
 package explores the space mechanically while keeping every run
 replayable from one integer:
 
-* :mod:`~repro.chaos.strategies` -- the composable Byzantine strategy
-  library (named behaviours + ``sequence``/``after_step``/
-  ``probabilistic`` combinators over ``StrategyFactory``);
 * :mod:`~repro.chaos.schedule` -- declarative :class:`FaultSchedule`
   events applied at deterministic kernel steps, with a JSON form;
 * :mod:`~repro.chaos.inject` -- the :class:`FaultInjector` applying
@@ -19,8 +16,13 @@ replayable from one integer:
 * :mod:`~repro.chaos.reconfig_chaos` -- the service-tier
   crash-during-reconfig scenario;
 * ``python -m repro.chaos`` -- the CI smoke matrix CLI.
+
+The Byzantine strategies a schedule's ``corrupt`` events name live in
+:mod:`repro.adversary` (``build_strategy``, ``spec_of``,
+``strategy_names``): each is declared once, on its wrapper class.
 """
 
+from ..seeds import derive_seed
 from .explorer import (ExploreReport, ShrinkResult, explore,
                        generate_schedule, load_reproducer,
                        replay_reproducer, reproducer_dict, run_seed,
@@ -31,11 +33,6 @@ from .inject import FaultInjector
 from .reconfig_chaos import CRASH_DURING_RECONFIG, run_crash_during_reconfig
 from .schedule import (EVENT_KINDS, FaultEvent, FaultSchedule, format_pid,
                        parse_pid, validate_schedule)
-from .seeds import derive_seed
-from .strategies import (STRATEGIES, StrategyEntry, after_step,
-                         build_strategy, probabilistic,
-                         registered_wrapper_names, sequence, spec_of,
-                         strategy_names)
 
 __all__ = [
     "CRASH_DURING_RECONFIG",
@@ -48,12 +45,8 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "SCENARIOS",
-    "STRATEGIES",
     "ShrinkResult",
-    "StrategyEntry",
     "WorkloadOp",
-    "after_step",
-    "build_strategy",
     "derive_seed",
     "explore",
     "format_pid",
@@ -61,17 +54,12 @@ __all__ = [
     "get_scenario",
     "load_reproducer",
     "parse_pid",
-    "probabilistic",
-    "registered_wrapper_names",
     "replay_reproducer",
     "reproducer_dict",
     "run_chaos",
     "run_crash_during_reconfig",
     "run_seed",
     "save_reproducer",
-    "sequence",
     "shrink",
-    "spec_of",
-    "strategy_names",
     "validate_schedule",
 ]

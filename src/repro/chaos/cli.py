@@ -9,6 +9,9 @@ artifact path (one JSON document with every reproducer), and the
 process exits non-zero.  Replay a saved reproducer with::
 
     python -m repro.chaos --replay chaos-failures.json
+
+which exits non-zero unless every reproducer again fails one of the
+properties it records as expected.
 """
 
 from __future__ import annotations
@@ -48,18 +51,18 @@ def _replay_file(path: str) -> int:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     reproducers = data if isinstance(data, list) else [data]
-    failures = 0
+    reproduced = 0
     for entry in reproducers:
         verdict = replay_reproducer(entry)
         expected = set(entry.get("expected", {}).get(
             "failing_properties", []))
         got = set(verdict.failing_properties())
-        match = "reproduced" if expected & got or (
-            not expected and not verdict.ok) else "DID NOT REPRODUCE"
-        print(f"{verdict.summary()}  [{match}]")
-        if not verdict.ok:
-            failures += 1
-    return 0 if failures == len(reproducers) else 1
+        if expected & got or (not expected and not verdict.ok):
+            reproduced += 1
+            print(f"{verdict.summary()}  [reproduced]")
+        else:
+            print(f"{verdict.summary()}  [DID NOT REPRODUCE]")
+    return 0 if reproduced == len(reproducers) else 1
 
 
 def main(argv: List[str] = None) -> int:

@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
+from ..adversary import spec_of
+from ..seeds import derive_seed
 from ..types import reader, writer
 from .harness import ChaosScenario, ChaosVerdict, get_scenario, run_chaos
 from .schedule import FaultEvent, FaultSchedule, format_pid
-from .seeds import derive_seed
-from .strategies import spec_of
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ..core.regular import CachedRegularStorageProtocol
 from ..core.safe import SafeStorageProtocol
 from ..errors import SimulationError
 from ..protocols import StorageProtocol
+from ..seeds import derive_seed
 from ..sim.kernel import OperationHandle
 from ..sim.schedulers import RandomScheduler
 from ..spec import checkers
@@ -32,7 +33,6 @@ from ..system import StorageSystem
 from ..types import DEFAULT_REGISTER, reset_operation_ids
 from .inject import FaultInjector
 from .schedule import FaultSchedule
-from .seeds import derive_seed
 
 #: One checker: History -> CheckResult.
 Checker = Callable[..., CheckResult]
@@ -55,7 +55,7 @@ class ChaosScenario:
 
     ``build`` maps the schedule's master seed to a fresh
     ``StorageSystem`` -- it must thread the seed into every random
-    component (use :func:`~repro.chaos.seeds.derive_seed`).  The
+    component (use :func:`~repro.seeds.derive_seed`).  The
     remaining generator knobs bound what the explorer may inject.
     """
 

@@ -7,25 +7,26 @@ fires every event whose step has arrived; ``apply_next()`` force-fires
 the next event when the network quiesces early; ``heal_all()`` lifts
 every remaining cut before the drain phase.
 
-Illegal events (budget exceeded, unknown targets, double faults) are
-*skipped deterministically* and recorded, not raised: shrinking deletes
-schedule prefixes, and a suffix must stay runnable however the prefix
-changed.
+Illegal events (budget exceeded, unknown targets, double faults,
+malformed params) are *skipped deterministically* and recorded, not
+raised: shrinking deletes schedule prefixes, and a suffix must stay
+runnable however the prefix changed.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..adversary import build_strategy
 from ..config import SystemConfig
+from ..errors import ConfigurationError
+from ..seeds import derive_seed
 from ..sim.delay import (ConstantDelay, DelayModel, ExponentialDelay,
                          SlowProcessDelay, UniformDelay, ZeroDelay)
 from ..sim.partitions import Partition
 from ..system import StorageSystem
 from ..types import DEFAULT_REGISTER, ProcessId, obj
 from .schedule import FaultEvent, FaultSchedule, parse_pid
-from .seeds import derive_seed
-from .strategies import build_strategy
 
 
 class FaultInjector:
@@ -115,7 +116,10 @@ class FaultInjector:
 
     def _apply(self, index: int, event: FaultEvent) -> None:
         handler = getattr(self, f"_apply_{event.kind}")
-        reason: Optional[str] = handler(index, event)
+        try:
+            reason: Optional[str] = handler(index, event)
+        except (ConfigurationError, ValueError) as exc:
+            reason = f"malformed {event.kind} event: {exc}"
         if reason is None:
             self.applied.append(event)
             self.counts[event.kind] += 1
@@ -218,9 +222,7 @@ class FaultInjector:
         factory = build_strategy(
             spec, derive_seed(self.schedule.seed, "event", index))
         honest = self.kernel.object_automaton(obj(target))
-        corrupted = factory(honest, self.config)
-        self.kernel.make_byzantine(obj(target), corrupted,
-                                   note=type(corrupted).__name__)
+        self.kernel.make_byzantine(obj(target), factory(honest, self.config))
         self._corrupted.add(target)
         return None
 

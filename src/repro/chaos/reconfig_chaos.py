@@ -28,10 +28,10 @@ from ..api import Cluster, RetryPolicy
 from ..config import SystemConfig
 from ..core.atomic import AtomicStorageProtocol
 from ..errors import SnapshotContentionError
+from ..seeds import derive_seed
 from ..spec.checkers import (check_mwmr_atomicity, check_per_register,
                              check_snapshot_consistency)
 from .harness import ChaosVerdict, CheckOutcome
-from .seeds import derive_seed
 
 CRASH_DURING_RECONFIG = "crash-during-reconfig"
 

@@ -23,7 +23,7 @@ restore    ``object``: crashed object resumes; ``amnesia: true``
            restarts it from a fresh automaton (lost volatile state)
            and counts it against the Byzantine budget.
 corrupt    ``object`` + ``strategy``: a strategy spec
-           (:mod:`repro.chaos.strategies`).
+           (:mod:`repro.adversary`).
 delay      ``model``: ``uniform``/``exponential``/``zero`` with their
            parameters; swaps the kernel's delay model (reorders
            in-flight tails deterministically via derived seeds).
@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from ..adversary import budget_problems
 from ..config import SystemConfig
 from ..errors import ConfigurationError
 from ..types import ProcessId, obj, reader, writer
@@ -172,7 +173,6 @@ def validate_schedule(schedule: FaultSchedule,
     whose prefix consumed the budget differently), but generators use
     this to avoid emitting them in the first place.
     """
-    problems: List[str] = []
     crashed: set = set()
     corrupted: set = set()
     for event in schedule.events:
@@ -189,21 +189,7 @@ def validate_schedule(schedule: FaultSchedule,
             for group in params.get("groups", []):
                 for pid in group:
                     parse_pid(str(pid))
-    for index in crashed | corrupted:
-        if not 0 <= index < config.num_objects:
-            problems.append(f"object index {index} out of range")
-    if crashed & corrupted:
-        problems.append(
-            f"objects {sorted(crashed & corrupted)} both crashed and "
-            "corrupted")
-    if len(corrupted) > config.b:
-        problems.append(
-            f"{len(corrupted)} corrupted objects exceed b={config.b}")
-    if len(crashed | corrupted) > config.t:
-        problems.append(
-            f"{len(crashed | corrupted)} faulty objects exceed "
-            f"t={config.t}")
-    return problems
+    return budget_problems(config, crashed, corrupted)
 
 
 __all__ = [

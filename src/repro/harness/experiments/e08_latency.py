@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...adversary import forger, max_byzantine
+from ...adversary import max_byzantine
 from ...baselines import PassiveReaderProtocol
 from ...config import SystemConfig
 from ...core.safe import SafeStorageProtocol
@@ -63,7 +63,7 @@ def run() -> ExperimentResult:
                                        model_factory())
             passive_adv = _read_latency(
                 PassiveReaderProtocol, config, model_factory(),
-                plan=max_byzantine(config, forger()))
+                plan=max_byzantine(config))
             rows.append([f"t=b={b}", model_name,
                          f"{gv:.2f}", f"{passive_ff:.2f}",
                          f"{passive_adv:.2f}",

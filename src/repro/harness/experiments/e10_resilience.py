@@ -59,7 +59,7 @@ def _stale_write_attack(t: int, b: int, num_objects: int) -> bool:
 
     for i in byz:
         inner = system.kernel.object_automaton(obj(i))
-        system.kernel.make_byzantine(obj(i), TwoFaced(inner),
+        system.kernel.make_byzantine(obj(i), TwoFaced(inner, config),
                                      note="two-faced (acks writes, "
                                           "serves stale reads)")
     # Asynchrony: the writer's messages to the honest tail stay in

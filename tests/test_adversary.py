@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.adversary import (FaultPlan, adversarial_suite,
-                             all_fault_assignments, forger, garbage,
-                             max_byzantine, max_crashes, mute, no_faults,
-                             random_plan, stale, tsr_inflater)
+from repro.adversary import (FaultPlan, adversarial_suite, max_byzantine,
+                             max_crashes, no_faults, random_plan)
 from repro.adversary.byzantine import (MuteByzantine, StaleReplier, TwoFaced,
                                        TsrInflater, ValueForger)
 from repro.config import SystemConfig
@@ -36,18 +34,18 @@ def pw_message(config, ts, value="v"):
 
 class TestStrategies:
     def test_mute_swallows_everything(self, config):
-        byz = MuteByzantine(fresh_object(config))
+        byz = MuteByzantine(fresh_object(config), config)
         assert byz.on_message(WRITER, pw_message(config, 1)) == []
         assert byz.on_message(reader(0), ReadRequest(1, 1, 0)) == []
 
     def test_stale_replier_denies_writes(self, config):
-        byz = StaleReplier(fresh_object(config))
+        byz = StaleReplier(fresh_object(config), config)
         assert byz.on_message(WRITER, pw_message(config, 1)) == []
         [(_, ack)] = byz.on_message(reader(0), ReadRequest(1, 1, 0))
         assert ack.pw.ts == 0  # still the initial state
 
     def test_two_faced_acks_writes_but_serves_stale(self, config):
-        byz = TwoFaced(fresh_object(config))
+        byz = TwoFaced(fresh_object(config), config)
         replies = byz.on_message(WRITER, pw_message(config, 1))
         assert len(replies) == 1  # the writer sees a healthy ack
         [(_, ack)] = byz.on_message(reader(0), ReadRequest(1, 1, 0))
@@ -73,17 +71,17 @@ class TestStrategies:
 
 class TestFaultPlans:
     def test_validation_rejects_over_budget_byzantine(self, config):
-        plan = FaultPlan(byzantine={0: forger(), 1: forger()})
+        plan = FaultPlan(byzantine={0: ValueForger, 1: ValueForger})
         with pytest.raises(ConfigurationError):
             plan.validate(config)
 
     def test_validation_rejects_over_budget_total(self, config):
-        plan = FaultPlan(crash_indices=[0, 1], byzantine={2: forger()})
+        plan = FaultPlan(crash_indices=[0, 1], byzantine={2: ValueForger})
         with pytest.raises(ConfigurationError):
             plan.validate(config)
 
     def test_validation_rejects_double_assignment(self, config):
-        plan = FaultPlan(crash_indices=[0], byzantine={0: forger()})
+        plan = FaultPlan(crash_indices=[0], byzantine={0: ValueForger})
         with pytest.raises(ConfigurationError):
             plan.validate(config)
 
@@ -93,7 +91,7 @@ class TestFaultPlans:
 
     def test_apply_installs_faults(self, config):
         system = StorageSystem(SafeStorageProtocol(), config)
-        plan = FaultPlan(crash_indices=[1], byzantine={0: mute()})
+        plan = FaultPlan(crash_indices=[1], byzantine={0: MuteByzantine})
         plan.apply(system)
         assert obj(1) in system.kernel.crashed_processes()
         assert obj(0) in system.kernel.byzantine_processes()
@@ -114,14 +112,6 @@ class TestFaultPlans:
         a.validate(config)
         assert a.crash_indices == b.crash_indices
         assert set(a.byzantine) == set(b.byzantine)
-
-    def test_all_fault_assignments_enumerates(self):
-        config = SystemConfig.optimal(t=1, b=1)
-        plans = list(all_fault_assignments(config, limit=100))
-        # choose 1 Byzantine of 4, 0 crashes: exactly 4 assignments
-        assert len(plans) == 4
-        for plan in plans:
-            plan.validate(config)
 
     def test_describe_no_faults(self):
         assert no_faults().describe() == "fault-free"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary import adversarial_suite, forger, max_byzantine
+from repro.adversary import adversarial_suite, max_byzantine
 from repro.baselines import (AbdAtomicProtocol, AbdRegularProtocol,
                              AuthenticatedProtocol, PassiveReaderProtocol)
 from repro.config import SystemConfig
@@ -86,7 +86,7 @@ class TestPassiveReader:
         """The b+1 shape of [1]: each forgery needs an elimination round."""
         config = SystemConfig.optimal(t=2, b=1)
         system = StorageSystem(PassiveReaderProtocol(), config)
-        max_byzantine(config, forger()).apply(system)
+        max_byzantine(config).apply(system)
         system.write("v")
         handle = system.read_handle(0)
         assert handle.result == "v"
@@ -164,10 +164,10 @@ class TestAuthenticated:
     def test_replayed_old_signature_is_still_regular(self):
         """Byzantine objects may replay old signed values; regularity
         survives because some correct quorum member has the newest one."""
-        from repro.adversary import stale
+        from repro.adversary import StaleReplier
         config = SystemConfig.optimal(t=1, b=1)
         system = StorageSystem(AuthenticatedProtocol(), config)
         system.write("v1")
-        max_byzantine(config, stale()).apply(system)
+        max_byzantine(config, StaleReplier).apply(system)
         system.write("v2")
         assert system.read(0) == "v2"

@@ -19,28 +19,30 @@ The acceptance-critical checks live here:
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import (STRATEGIES, build_strategy, spec_of,
+                             strategy_names)
 from repro.adversary import byzantine as byz
 from repro.chaos import (SCENARIOS, ChaosScenario, FaultEvent, FaultInjector,
-                         FaultSchedule, WorkloadOp, build_strategy,
-                         derive_seed, explore, format_pid, generate_schedule,
-                         get_scenario, parse_pid, replay_reproducer,
-                         run_chaos, run_crash_during_reconfig, run_seed,
-                         save_reproducer, shrink, spec_of, strategy_names,
-                         validate_schedule)
+                         FaultSchedule, WorkloadOp, derive_seed, explore,
+                         format_pid, generate_schedule, get_scenario,
+                         parse_pid, replay_reproducer, run_chaos,
+                         run_crash_during_reconfig, run_seed,
+                         save_reproducer, shrink, validate_schedule)
 from repro.chaos.explorer import load_reproducer, reproducer_dict
-from repro.chaos.strategies import registered_wrapper_names
 from repro.config import SystemConfig
 from repro.core.lower_bound import FastReadProtocol
 from repro.errors import ConfigurationError
 from repro.sim.schedulers import RandomScheduler
 from repro.spec import checkers
 from repro.system import StorageSystem
-from repro.types import obj, reader
+from repro.types import WriterTag, obj, reader
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +79,51 @@ def _honest(config=None):
 
 class TestStrategies:
     def test_registry_covers_every_adversary_wrapper(self):
-        """The lint contract: no wrapper class escapes the registry."""
-        shipped = {
-            name for name in dir(byz)
-            if isinstance(getattr(byz, name), type)
-            and issubclass(getattr(byz, name), byz.ByzantineWrapper)
-        }
-        assert shipped <= set(registered_wrapper_names())
+        """Every shipped wrapper is registered under its declared name."""
+        shipped = [
+            cls for cls in vars(byz).values()
+            if isinstance(cls, type) and issubclass(cls, byz.ByzantineWrapper)
+            and cls is not byz.ByzantineWrapper
+        ]
+        assert len(shipped) == 14
+        for cls in shipped:
+            assert STRATEGIES[cls.strategy] is cls
+        assert STRATEGIES["after-step"] == \
+            byz.SwitchingByzantine.after_step
+
+    def test_only_a_new_declared_name_registers(self):
+        before = dict(STRATEGIES)
+
+        class TestDouble(byz.ValueForger):
+            pass
+
+        assert STRATEGIES == before
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            class Impostor(byz.ByzantineWrapper):
+                strategy = "forger"
+
+    def test_params_are_constructor_keywords(self):
+        inner, config = _honest()
+        forged = build_strategy(spec_of(
+            "delay-then-forge", forged_value="LATE", quiet=1))(inner, config)
+        assert forged.quiet == 1
+        assert forged._forger.forged_value == "LATE"
+        tagged = build_strategy(spec_of(
+            "stale-tag", forged_tag=[3, 1]))(inner, config)  # JSON form
+        assert tagged.forged_tag == WriterTag(3, 1)
+        with pytest.raises(ConfigurationError, match="value"):
+            build_strategy(spec_of("forger", value="X"))
+
+    def test_readme_strategy_table_lists_every_strategy(self):
+        lines = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| Strategy | Conduct |") + 2
+        listed = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            listed += re.findall(r"`([^`]+)`", line.split("|")[1])
+        assert sorted(listed) == strategy_names()
 
     def test_build_by_name_and_by_spec(self):
         inner, config = _honest()
@@ -202,6 +242,23 @@ class TestHarness:
             assert verdict_a.fingerprint == verdict_b.fingerprint
             assert verdict_a.counters == verdict_b.counters
 
+    def test_sweep_matches_golden_table(self):
+        """Behaviour pin: seeds 0-7 of every named scenario reproduce the
+        recorded ``(ok, steps, counters, failing_properties)``.  Counters
+        (not the fingerprint, which pickles wrapper attributes) carry the
+        class-name-keyed ``byzantine_intercepts``."""
+        golden = json.loads((Path(__file__).parent
+                             / "chaos_sweep_golden.json").read_text())
+        got = {}
+        for name in sorted(SCENARIOS):
+            scenario = get_scenario(name)
+            for seed in range(8):
+                _, verdict = run_seed(scenario, seed)
+                got[f"{name}/{seed}"] = [verdict.ok, verdict.steps,
+                                         verdict.counters,
+                                         verdict.failing_properties()]
+        assert got == golden
+
     def test_fault_counters_surface_in_verdict(self):
         scenario = get_scenario("swmr-regular")
         schedule = FaultSchedule(seed=1, scenario=scenario.name, events=(
@@ -250,6 +307,34 @@ class TestHarness:
         assert len(injector.applied) == 1
         assert len(injector.skipped) == 1
         assert "budget" in injector.skipped[0][1]
+
+
+#: Events the injector cannot apply as written; each must become a skip.
+MALFORMED_EVENTS = [
+    ("corrupt", {"object": 1, "strategy": "nope"}),
+    ("corrupt", {"object": 1, "strategy": {
+        "name": "probabilistic", "params": {"p": 2}}}),
+    ("corrupt", {"object": 1, "strategy": {"name": "sequence"}}),
+    ("corrupt", {"object": 1, "strategy": {
+        "name": "forger", "params": {"ts_boost": "x"}}}),
+    ("partition", {"groups": [["s1"], ["x9"]]}),
+    ("gray", {"objects": ["a"]}),
+    ("clock_skew", {"delta": "soon"}),
+    ("delay", {"model": "uniform", "low": 3.0, "high": 1.0}),
+]
+
+
+@pytest.mark.parametrize("kind,params", MALFORMED_EVENTS,
+                         ids=[f"{kind}-{i}" for i, (kind, _)
+                              in enumerate(MALFORMED_EVENTS)])
+def test_malformed_event_is_a_recorded_skip(kind, params):
+    scenario = get_scenario("swmr-regular")
+    schedule = FaultSchedule(seed=3, scenario=scenario.name,
+                             events=(FaultEvent(1, kind, params),))
+    verdict = run_chaos(scenario, schedule)
+    assert verdict.ok, verdict.violations()
+    assert verdict.counters["events_applied"] == 0
+    assert verdict.counters["events_skipped"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +423,24 @@ class TestMutantHunt:
         assert replayed.failing_properties() == ["safety"]
         assert replayed.fingerprint == result.verdict.fingerprint
         assert replayed.violations() == result.verdict.violations()
+
+    def test_replay_exits_nonzero_when_expected_failure_is_missing(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.chaos.cli import main
+        scenario = mutant_scenario()
+        schedule, verdict = explore(
+            scenario, range(10), stop_at_first_failure=True).first_failure()
+        monkeypatch.setitem(SCENARIOS, scenario.name, mutant_scenario)
+        data = reproducer_dict(schedule, verdict)
+        faithful = tmp_path / "faithful.json"
+        faithful.write_text(json.dumps(data))
+        assert main(["--replay", str(faithful)]) == 0
+        # It fails safety, not the liveness this reproducer promises.
+        data["expected"]["failing_properties"] = ["liveness"]
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(data))
+        assert main(["--replay", str(stale)]) != 0
+        assert "DID NOT REPRODUCE" in capsys.readouterr().out
 
     def test_reproducer_json_is_self_describing(self, tmp_path):
         scenario = mutant_scenario()

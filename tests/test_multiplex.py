@@ -107,7 +107,7 @@ class TestByzantineIsolation:
         system.write("b1", register_id="b")
         pid = obj(1)
         system.kernel.make_byzantine(
-            pid, StaleReplier(system.kernel.object_automaton(pid)))
+            pid, StaleReplier(system.kernel.object_automaton(pid), config))
         system.write("a2", register_id="a")
         assert system.read(0, register_id="a") == "a2"
         assert system.read(0, register_id="b") == "b1"

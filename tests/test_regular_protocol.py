@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adversary import adversarial_suite, forger, max_byzantine
+from repro.adversary import adversarial_suite, max_byzantine
 from repro.adversary.byzantine import HistoryForger
 from repro.config import SystemConfig
 from repro.core.regular import (CachedRegularStorageProtocol,
@@ -204,7 +204,7 @@ class TestRegularSemantics:
         system = StorageSystem(protocol_cls(), config)
         system.write("v1")
         assert system.read_handle(1).rounds_used == 1
-        max_byzantine(config, forger()).apply(system)
+        max_byzantine(config).apply(system)
         write = system.invoke_write("v2")
         read = system.invoke_read(0)
         system.run_until_done(write, read)

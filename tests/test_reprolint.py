@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis import core as lint_core
 from repro.analysis import cli as lint_cli
-from repro.analysis.rules_chaos import strategy_registry_findings
 from repro.analysis.rules_registry import (_is_canonical, _live_subclasses,
                                            batch_parity_findings)
 
@@ -367,55 +366,6 @@ class TestBatchDispatch:
             "    return automaton.handle_batch(sender, parts, sink)\n"
         ), select=["batch-dispatch"])
         assert findings == []
-
-
-class TestChaosStrategyFindings:
-    """The chaos-strategy-registry check against synthetic wrapper sets."""
-
-    def _anchor(self, cls):
-        return ("repro/adversary/rogue.py", 3)
-
-    def test_unregistered_wrapper_flagged(self):
-        class RogueWrapper:
-            pass
-
-        found = strategy_registry_findings(
-            "chaos-strategy-registry", {RogueWrapper}, {"MuteByzantine"},
-            self._anchor)
-        assert len(found) == 1
-        assert "RogueWrapper" in found[0].message
-        assert "register_strategy" in found[0].message
-        assert found[0].path == "repro/adversary/rogue.py"
-
-    def test_registered_wrapper_passes(self):
-        class KnownWrapper:
-            pass
-
-        found = strategy_registry_findings(
-            "chaos-strategy-registry", {KnownWrapper}, {"KnownWrapper"},
-            self._anchor)
-        assert found == []
-
-    def test_wrapper_outside_analyzed_set_skipped(self):
-        # Test fixtures and scratch files anchor to None: the rule only
-        # polices wrappers that live in the analyzed tree.
-        class FixtureWrapper:
-            pass
-
-        found = strategy_registry_findings(
-            "chaos-strategy-registry", {FixtureWrapper}, set(),
-            lambda cls: None)
-        assert found == []
-
-    def test_live_registry_covers_shipped_wrappers(self):
-        # The shipped tree must be clean under the live rule inputs.
-        from repro.adversary.byzantine import ByzantineWrapper
-        from repro.chaos.strategies import registered_wrapper_names
-        shipped = {cls for cls in _live_subclasses(ByzantineWrapper)
-                   if cls.__module__.startswith("repro.")}
-        missing = {cls.__name__ for cls in shipped} - set(
-            registered_wrapper_names())
-        assert missing == set()
 
 
 class TestBatchParityFindings:

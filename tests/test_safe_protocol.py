@@ -6,9 +6,8 @@ Lemmas 1-3 (wait-freedom) and Proposition 2 (2-round complexity).
 
 import pytest
 
-from repro.adversary import (FaultPlan, adversarial_suite, forger,
-                             max_byzantine, max_crashes, tsr_inflater)
-from repro.adversary.byzantine import AckFlooder, Equivocator
+from repro.adversary import adversarial_suite, max_byzantine
+from repro.adversary.byzantine import AckFlooder, Equivocator, TsrInflater
 from repro.config import SystemConfig
 from repro.core.safe import SafeStorageProtocol
 from repro.errors import ProtocolError, ResilienceError
@@ -70,7 +69,7 @@ class TestRoundComplexity:
         assert system.read_handle(0).rounds_used == 1
         config = SystemConfig.optimal(t=2, b=1, num_readers=2)
         system = StorageSystem(SafeStorageProtocol(), config)
-        max_byzantine(config, forger()).apply(system)
+        max_byzantine(config).apply(system)
         system.write("v")
         handle = system.read_handle(0)
         assert handle.rounds_used == 2 and handle.result == "v"
@@ -127,7 +126,7 @@ class TestFaultTolerance:
         config = SystemConfig.optimal(t=2, b=1, num_readers=2)
         system = StorageSystem(SafeStorageProtocol(), config)
         inner = system.kernel.object_automaton(obj(0))
-        system.kernel.make_byzantine(obj(0), Equivocator(inner))
+        system.kernel.make_byzantine(obj(0), Equivocator(inner, config))
         system.write("v1")
         assert system.read(0) == "v1"  # even reader: honest state
         assert system.read(1) == "v1"  # odd reader: stale state absorbed
@@ -145,7 +144,7 @@ class TestFaultTolerance:
         """Lemma 2: a Byzantine accuser cannot starve the first round."""
         config = SystemConfig.optimal(t=2, b=1, num_readers=1)
         system = StorageSystem(SafeStorageProtocol(), config)
-        max_byzantine(config, tsr_inflater()).apply(system)
+        max_byzantine(config, TsrInflater).apply(system)
         system.write("v1")
         handle = system.read_handle(0)
         assert handle.done and handle.result == "v1"

@@ -7,7 +7,7 @@ checker the protocol claims to satisfy.
 
 import pytest
 
-from repro.adversary import forger, max_byzantine, stale
+from repro.adversary import StaleReplier, max_byzantine
 from repro.baselines import (AbdAtomicProtocol, AbdRegularProtocol,
                              AuthenticatedProtocol, PassiveReaderProtocol)
 from repro.config import SystemConfig
@@ -49,7 +49,7 @@ def test_soak_concurrent_with_midrun_corruption(factory, b):
     run_concurrent(system, WorkloadSpec(num_writes=8, reads_per_reader=6,
                                         seed=11))
     # Phase 2: corrupt the full Byzantine budget and keep going.
-    max_byzantine(config, forger()).apply(system)
+    max_byzantine(config).apply(system)
     run_concurrent(system, WorkloadSpec(num_writes=8, reads_per_reader=6,
                                         seed=12))
     history = system.history
@@ -83,7 +83,7 @@ def test_soak_many_seeds_quick():
                                scheduler=RandomScheduler(seed),
                                trace_enabled=False)
         if seed % 3 == 0:
-            max_byzantine(config, stale()).apply(system)
+            max_byzantine(config, StaleReplier).apply(system)
         run_concurrent(system, WorkloadSpec(num_writes=3,
                                             reads_per_reader=3, seed=seed))
         check_regularity(system.history).assert_ok()

@@ -581,7 +581,7 @@ class TestVectorEngine:
         kernel = SimKernel(config)
         automata = protocol.make_objects(config)
         kernel.register_objects(automata)
-        kernel.make_byzantine(obj(0), StaleReplier(automata[0]))
+        kernel.make_byzantine(obj(0), StaleReplier(automata[0], config))
         states = protocol.client_states(config)
         keys = [f"k{i}" for i in range(8)]
         writes = kernel.invoke_many([
