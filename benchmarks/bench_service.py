@@ -4,10 +4,11 @@
 The workload writes then reads every key once, end to end (store
 construction, operation rounds, teardown), at 64-1024 keys:
 
-* **per-key baseline** -- one :class:`~repro.runtime.AsyncStorage` per
-  key, the pre-service-tier deployment of ``examples/replicated_kv_store
-  .py``: every key spawns its own object hosts, queues and client hosts
-  (4 replicas => 4 tasks + 6 inboxes per key);
+* **per-key baseline** -- one one-register
+  :class:`~repro.service.MultiRegisterStore` per key, the
+  pre-service-tier deployment of ``examples/replicated_kv_store.py``:
+  every key builds its own object hosts, mailboxes and client hosts
+  (4 replicas => 4 object hosts + 6 mailboxes per key);
 * **multiplexed** -- one :class:`~repro.service.MultiRegisterStore`:
   the same 4 replica tasks serve *all* keys, with batched rounds
   coalescing same-step messages per object into single envelopes;
@@ -78,7 +79,6 @@ from repro.core.atomic import AtomicStorageProtocol
 from repro.core.regular import CachedRegularStorageProtocol
 from repro.errors import (BusyRegisterError, FencedWriteError,
                           SnapshotContentionError)
-from repro.runtime import AsyncStorage
 from repro.service import (MultiRegisterStore, ReconfigCoordinator,
                            ShardedKVStore)
 from repro.spec.checkers import (check_fast_read_freshness,
@@ -95,18 +95,18 @@ MULTIPROC_CONFIG = CONFIG.with_deployment("multiproc")
 
 
 async def run_per_key_baseline(num_keys: int) -> Dict[str, Any]:
-    """One AsyncStorage (replica set + hosts + tasks) per key."""
+    """One store (replica set + hosts) per key, each serving one register."""
     started = time.perf_counter()
-    stores: Dict[str, AsyncStorage] = {}
+    stores: Dict[str, MultiRegisterStore] = {}
     for n in range(num_keys):
-        store = AsyncStorage(CachedRegularStorageProtocol(), CONFIG,
-                             seed=n)
+        store = MultiRegisterStore(CachedRegularStorageProtocol(), CONFIG,
+                                   seed=n)
         await store.start()
         stores[f"key:{n}"] = store
-    await asyncio.gather(*(store.write(f"value-{key}")
+    await asyncio.gather(*(store.write(key, f"value-{key}")
                            for key, store in stores.items()))
-    reads = await asyncio.gather(*(store.read()
-                                   for store in stores.values()))
+    reads = await asyncio.gather(*(store.read(key)
+                                   for key, store in stores.items()))
     for store in stores.values():
         await store.stop()
     elapsed = time.perf_counter() - started

@@ -41,10 +41,12 @@ def measure(factory, b):
     # fault-free
     system = StorageSystem(factory(), config)
     system.write("w1")
+    before = system.kernel.metrics()
     handle = system.read_handle(0)
+    after = system.kernel.metrics()
     ff_rounds = handle.rounds_used
-    msgs = handle.operation.messages_sent
-    byts = handle.operation.bytes_sent
+    msgs = after["messages_sent"] - before["messages_sent"]
+    byts = after["bytes_sent"] - before["bytes_sent"]
 
     # adversarial worst case
     adv_rounds = ff_rounds

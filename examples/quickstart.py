@@ -48,9 +48,11 @@ def main() -> None:
     print("safety + 2-round complexity verified against the history ✓")
 
     # 5. rounds and messages are first-class metrics -----------------------
+    sent = fresh.kernel.metrics()["messages_sent"]
     handle = fresh.read_handle(1)
+    sent = fresh.kernel.metrics()["messages_sent"] - sent
     print(f"a READ used {handle.rounds_used} round-trips and "
-          f"{handle.operation.messages_sent} messages")
+          f"{sent} messages (requests and replies)")
 
 
 if __name__ == "__main__":

@@ -2,20 +2,28 @@
 
 Every protocol in this library is written against two small interfaces, so
 the same code runs unchanged on the deterministic simulator
-(:mod:`repro.sim`) and on the asyncio runtime (:mod:`repro.runtime`):
+(:mod:`repro.sim`), the asyncio runtime and the TCP tier
+(:mod:`repro.runtime`):
 
 * :class:`ObjectAutomaton` -- a base storage object.  It is a *reactive*
   state machine: the model (Section 2.1) only lets non-malicious objects
   send messages in the very step in which they receive one, so the whole
   interface is ``on_message -> replies``.
 
-* :class:`ClientOperation` -- one invocation of READ or WRITE.  It emits an
-  initial batch of messages (:meth:`start`), consumes replies
-  (:meth:`on_message`), may emit further batches (subsequent rounds), and
-  eventually sets :attr:`result`.  Round accounting is explicit: protocols
-  call :meth:`begin_round` so the harness can verify worst-case round
-  complexity *structurally* instead of trusting counters sprinkled in
-  protocol code.
+* :class:`ClientOperation` -- one invocation of READ or WRITE.  Its client
+  steps are the *vector contract*: :meth:`~ClientOperation.start_vector`
+  emits the first round, :meth:`~ClientOperation.absorb` records each
+  reply part with no decision, and :meth:`~ClientOperation.advance`
+  evaluates the round conditions once per delivery step, emitting the
+  next round and eventually setting :attr:`~ClientOperation.result`.
+  Every engine (``SimKernel``, ``MuxClientHost``, ``TcpStorageClient``)
+  calls only these three.  An operation implements either that triple
+  or the per-message authoring pair :meth:`~ClientOperation.start` /
+  :meth:`~ClientOperation.on_message`, which the default triple
+  replays.  Round accounting is explicit: protocols call
+  :meth:`~ClientOperation.begin_round` so the harness can verify
+  worst-case round complexity *structurally* instead of trusting
+  counters sprinkled in protocol code.
 """
 
 from __future__ import annotations
@@ -245,7 +253,7 @@ def resolve_batch_handler(
         automaton, sender, parts, sink)
 
 
-class ClientOperation(ABC):
+class ClientOperation:
     """One READ or WRITE invocation, as a resumable state machine."""
 
     #: Subclasses set this: "READ" or "WRITE" (used by history recording).
@@ -265,32 +273,35 @@ class ClientOperation(ABC):
         self.done = False
         self._result: Any = None
         self.rounds_used = 0
-        self.messages_sent = 0
-        self.bytes_sent = 0
         #: the (epoch, writer_id) tag this operation installed (WRITE) or
         #: observed (READ); protocols set it before completing so history
         #: recorders can feed the multi-writer checkers.
         self.tag = None
 
-    # -- protocol surface ----------------------------------------------------
-    @abstractmethod
+    # -- per-message authoring hooks -----------------------------------------
+    # Only the default vector triple below calls these; an operation that
+    # overrides the triple need not define them.
     def start(self) -> Outgoing:
         """Invocation step: produce the first round's messages."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither start() nor "
+            f"start_vector()")
 
-    @abstractmethod
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
         """Consume a reply; possibly emit the next round's messages."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither on_message() nor "
+            f"absorb()/advance()")
 
-    # -- vector rounds -------------------------------------------------------
-    # The multi-key round engine drives many same-client operations with
-    # one frame per (replica, step): inbound acks are *absorbed* (cheap
-    # recording, no decisions) part by part, then each touched operation
-    # *advances* once per burst -- round conditions are evaluated once
-    # over all the evidence that arrived together instead of once per
-    # ack.  The default implementation adapts any operation by buffering
-    # and replaying through :meth:`on_message`, so every protocol rides
-    # the batched frames; hot operations override all three with native
-    # array-tracked state.
+    # -- vector rounds: the contract every engine calls -----------------------
+    # An engine drives many same-client operations with one frame per
+    # (replica, step): inbound acks are *absorbed* (cheap recording, no
+    # decisions) part by part, then each touched operation *advances*
+    # once per burst -- round conditions are evaluated once over all the
+    # evidence that arrived together instead of once per ack.  The
+    # default implementation adapts a per-message operation by buffering
+    # and replaying through :meth:`on_message`; hot operations override
+    # all three with native state.
 
     def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
         """Invocation step for the vector engine (broadcasts to sink)."""

@@ -15,7 +15,7 @@ Mirrors :mod:`repro.core.safe.predicates` for the history-based protocol:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Mapping, Optional, Set, Tuple
 
 from ...messages import HistoryEntry
 from ...types import TimestampValue, WriterTag, WriteTuple, as_tag
@@ -36,7 +36,8 @@ class RegularEvidence:
         self.round_histories: Dict[
             int, Dict[int, Mapping[WriterTag, HistoryEntry]]]
         self.round_histories = {1: {}, 2: {}}
-        self._candidates: Set[WriteTuple] = set()
+        #: line-20 candidates in arrival order
+        self._candidates: Dict[WriteTuple, None] = {}
         # Predicate verdicts only change when evidence arrives, but the
         # reader evaluates them after every ack (and several times within
         # one step).  A generation counter bumped on ingestion keys cheap
@@ -49,6 +50,14 @@ class RegularEvidence:
         self._accusers_cache: Tuple[int, Optional[Dict[WriteTuple,
                                                        Set[int]]]] = \
             (-1, None)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo caches are not state, and their hash-ordered sets
+        # pickle differently in every process: pickles (exploration
+        # fingerprints and state copies) carry them empty.
+        return {**self.__dict__, "_voter_cache": {},
+                "_candidates_cache": (-1, None),
+                "_accusers_cache": (-1, None)}
 
     # -- ingestion ---------------------------------------------------------
     def record(self, round_index: int, object_index: int,
@@ -74,7 +83,7 @@ class RegularEvidence:
         if round_index == 1:
             for entry in history.values():
                 if entry.w is not None:
-                    self._candidates.add(entry.w)
+                    self._candidates[entry.w] = None
         self._generation += 1
         return True
 

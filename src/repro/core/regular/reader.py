@@ -27,7 +27,7 @@ from ...config import SystemConfig
 from ...errors import ProtocolError
 from ...messages import HistoryReadAck, LeaseProbe, LeaseProbeAck, ReadRequest
 from ...quorums import confirmation_threshold, elimination_threshold
-from ...types import BOTTOM, TAG0, ProcessId, WriterTag, obj, reader
+from ...types import BOTTOM, TAG0, ProcessId, WriterTag, reader
 from ..safe.predicates import conflict_pairs, exists_conflict_free_quorum
 from .evidence import RegularEvidence
 
@@ -108,18 +108,7 @@ class RegularReadOperation(ClientOperation):
     def _from_ts(self) -> Optional[WriterTag]:
         return self.state.cache_tag if self.cached else None
 
-    def start(self) -> Outgoing:
-        sink: Sink = []
-        leftovers: Outgoing = []
-        self.start_vector(sink, leftovers)
-        outgoing: Outgoing = []
-        for broadcast in sink:
-            outgoing.extend((obj(i), broadcast)
-                            for i in range(self.config.num_objects))
-        outgoing.extend(leftovers)
-        return outgoing
-
-    # -- vector rounds (native) ------------------------------------------
+    # -- vector rounds -----------------------------------------------------
     def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
         leases = self.state.leases
         if leases is not None:
@@ -234,19 +223,6 @@ class RegularReadOperation(ClientOperation):
             # may point into a retired replica set, so drop it outright.
             self.state.leases.drop((self.register_id,))
         sink.append(self._begin_classic())
-
-    # ------------------------------------------------------------------
-    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        if self.done or not sender.is_object:
-            return []
-        self.absorb(sender, message)
-        sink: Sink = []
-        outgoing: Outgoing = []
-        self.advance(sink, outgoing)
-        for broadcast in sink:
-            outgoing.extend((obj(i), broadcast)
-                            for i in range(self.config.num_objects))
-        return outgoing
 
     # ------------------------------------------------------------------
     def _round1_condition(self) -> bool:

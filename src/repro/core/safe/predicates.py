@@ -24,8 +24,8 @@ legal run.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Set, Tuple, Union)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
+                    Optional, Set, Tuple, Union)
 
 from ...types import TimestampValue, WriteTuple
 
@@ -175,8 +175,9 @@ class CandidateTracker:
                  confirmation_threshold: int):
         self.elimination_threshold = elimination_threshold
         self.confirmation_threshold = confirmation_threshold
-        #: every tuple ever added to C (line 24); elimination is dynamic
-        self._candidates: Set[WriteTuple] = set()
+        #: every tuple ever added to C (line 24), in arrival order;
+        #: elimination is dynamic
+        self._candidates: Dict[WriteTuple, None] = {}
         #: RW(c): objects that reported tuple c in their w field, any round
         self.rw: Dict[WriteTuple, Set[int]] = {}
         #: RPW(tsval): objects that reported tsval in their pw field
@@ -192,6 +193,13 @@ class CandidateTracker:
         self._candidates_cache: Tuple[int, Optional[Set[WriteTuple]]] = \
             (-1, None)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo caches are not state, and their hash-ordered sets
+        # pickle differently in every process: pickles (exploration
+        # fingerprints and state copies) carry them empty.
+        return {**self.__dict__, "_voter_cache": {},
+                "_candidates_cache": (-1, None)}
+
     # -- evidence ingestion -------------------------------------------------
     def record_first_round(self, object_index: int, pw: TimestampValue,
                            w: WriteTuple) -> None:
@@ -199,7 +207,7 @@ class CandidateTracker:
         self.first_rw.setdefault(w, set()).add(object_index)
         self.rw.setdefault(w, set()).add(object_index)
         self.rpw.setdefault(pw, set()).add(object_index)
-        self._candidates.add(w)
+        self._candidates[w] = None
         self.responded_first.add(object_index)
         self._generation += 1
 

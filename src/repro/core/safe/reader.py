@@ -29,7 +29,7 @@ from ...config import SystemConfig
 from ...errors import ProtocolError
 from ...messages import ReadAck, ReadRequest
 from ...quorums import confirmation_threshold, elimination_threshold
-from ...types import BOTTOM, TAG0, ProcessId, obj, reader
+from ...types import BOTTOM, TAG0, ProcessId, reader
 from .predicates import (CandidateTracker, conflict_pairs,
                          exists_conflict_free_quorum)
 
@@ -66,19 +66,7 @@ class SafeReadOperation(ClientOperation):
         self.phase = 1
         self.tsr_first_round: int = 0
 
-    # ------------------------------------------------------------------
-    def start(self) -> Outgoing:
-        # Line 9: tsrFR := tsr'_j := tsr'_j + 1.
-        self.state.tsr += 1
-        self.tsr_first_round = self.state.tsr
-        self.begin_round()
-        # Line 10: READ1<tsr'_j> to all objects.
-        request = ReadRequest(round_index=1, tsr=self.tsr_first_round,
-                              reader_index=self.reader_index,
-                              register_id=self.register_id)
-        return [(obj(i), request) for i in range(self.config.num_objects)]
-
-    # -- vector rounds (native) ------------------------------------------
+    # -- vector rounds -----------------------------------------------------
     def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
         # Line 9: tsrFR := tsr'_j := tsr'_j + 1.
         self.state.tsr += 1
@@ -124,19 +112,6 @@ class SafeReadOperation(ClientOperation):
                     sink.append(self._enter_round2())
             return
         self._maybe_return()
-
-    # ------------------------------------------------------------------
-    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        if self.done or not sender.is_object:
-            return []
-        self.absorb(sender, message)
-        sink: Sink = []
-        outgoing: Outgoing = []
-        self.advance(sink, outgoing)
-        for broadcast in sink:
-            outgoing.extend((obj(i), broadcast)
-                            for i in range(self.config.num_objects))
-        return outgoing
 
     # ------------------------------------------------------------------
     def _round1_condition(self) -> bool:

@@ -37,7 +37,7 @@ from ...errors import FencedWriteError, ProtocolError
 from ...messages import (Message, Pw, PwAck, TagQuery, TagQueryAck, W,
                          WriteAck, WriteFenced)
 from ...types import (ProcessId, TimestampValue, TsrArray, WriterTag,
-                      WriteTuple, _Bottom, initial_write_tuple, obj, writer)
+                      WriteTuple, _Bottom, initial_write_tuple, writer)
 
 #: Phase names for tracing/assertions.
 PHASE_TAG = "TAG"
@@ -65,10 +65,8 @@ class SafeWriteOperation(ClientOperation):
 
     Implemented in the *absorb/advance* shape of the vector round engine:
     inbound acks are recorded with no decisions, and :meth:`advance`
-    evaluates the round conditions over everything recorded so far.  The
-    classic per-message :meth:`on_message` composes the two, which keeps
-    one copy of the protocol logic for both execution modes.  Note one
-    (sound) behavioural freedom: ``currenttsrarray`` is assembled from
+    evaluates the round conditions over everything recorded so far.
+    Note one (sound) behavioural freedom: ``currenttsrarray`` is assembled from
     *every* PW-ack absorbed when the quorum condition is evaluated --
     under burst delivery that may be more than ``S - t`` rows, exactly
     as if the scheduler had delivered those acks before the writer's
@@ -100,24 +98,6 @@ class SafeWriteOperation(ClientOperation):
         self._fence_epoch_seen: int = 0
 
     # ------------------------------------------------------------------
-    def start(self) -> Outgoing:
-        if self.discover_tag:
-            # MWMR round 0: learn the highest installed tag from a quorum.
-            self.discovery = TagDiscovery(
-                nonce=self.operation_id,
-                quorum=self.config.quorum_size,
-                writer_id=self.wid,
-                floor=WriterTag(self.state.ts, self.wid),
-            )
-            self.begin_round()
-            query = TagQuery(nonce=self.operation_id,
-                             register_id=self.register_id)
-            return [(obj(i), query)
-                    for i in range(self.config.num_objects)]
-        # Lines 3-4: inc(ts); the single writer's counter is authoritative.
-        message = self._start_pw_round(self.state.ts + 1)
-        return [(obj(i), message) for i in range(self.config.num_objects)]
-
     def _start_pw_round(self, epoch: int) -> Pw:
         self.phase = PHASE_PW
         self.state.ts = epoch
@@ -130,9 +110,10 @@ class SafeWriteOperation(ClientOperation):
         return Pw(ts=self.ts, pw=self.pw, w=self.state.w,
                   register_id=self.register_id, wid=self.wid)
 
-    # -- vector rounds (native) ------------------------------------------
+    # -- vector rounds -----------------------------------------------------
     def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
         if self.discover_tag:
+            # MWMR round 0: learn the highest installed tag from a quorum.
             self.discovery = TagDiscovery(
                 nonce=self.operation_id,
                 quorum=self.config.quorum_size,
@@ -143,6 +124,7 @@ class SafeWriteOperation(ClientOperation):
             sink.append(TagQuery(nonce=self.operation_id,
                                  register_id=self.register_id))
             return
+        # Lines 3-4: inc(ts); the single writer's counter is authoritative.
         sink.append(self._start_pw_round(self.state.ts + 1))
 
     def absorb(self, sender: ProcessId, message: Any) -> None:
@@ -212,19 +194,6 @@ class SafeWriteOperation(ClientOperation):
             if self.discovery is not None and self.discovery.ready():
                 sink.append(
                     self._start_pw_round(self.discovery.chosen_tag().epoch))
-
-    # ------------------------------------------------------------------
-    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        if self.done or not sender.is_object:
-            return []
-        self.absorb(sender, message)
-        sink: Sink = []
-        outgoing: Outgoing = []
-        self.advance(sink, outgoing)
-        for broadcast in sink:
-            outgoing.extend((obj(i), broadcast)
-                            for i in range(self.config.num_objects))
-        return outgoing
 
     def _start_w_round(self) -> W:
         # Line 7: freeze w := <pw, currenttsrarray> (persists for the next

@@ -25,7 +25,7 @@ growth of full-history versus suffix-shipping messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .types import (DEFAULT_REGISTER, TimestampValue, TsrArray, WriterTag,
                     WriteTuple, _Bottom, as_tag)
@@ -489,6 +489,28 @@ def unbatch(payload: Any) -> Tuple[Any, ...]:
     return (payload,)
 
 
+def fast_batch(messages: Tuple[Message, ...]) -> Batch:
+    """A :class:`Batch` from already-vetted protocol messages.
+
+    Callers guarantee every element is a non-batch :class:`Message`, so
+    construction skips ``Batch.__post_init__``'s re-scan.
+    """
+    batch = object.__new__(Batch)
+    object.__setattr__(batch, "messages", messages)
+    return batch
+
+
+def as_frame(sink: List[Message]) -> Any:
+    """One wire payload for a non-empty sink: the message, or a batch.
+
+    The one "singleton or :class:`Batch`" rule of every transport.
+    Sinks only ever collect non-batch protocol messages (the client
+    engines and the batch handlers route anything else to their
+    leftovers), so :func:`fast_batch`'s no-nesting re-scan is skipped.
+    """
+    return sink[0] if len(sink) == 1 else fast_batch(tuple(sink))
+
+
 # ---------------------------------------------------------------------------
 # Trace/debug helpers
 # ---------------------------------------------------------------------------
@@ -559,6 +581,8 @@ __all__ = [
     "HistoryReadAck",
     "Batch",
     "unbatch",
+    "fast_batch",
+    "as_frame",
     "register_of",
     "estimate_size",
     "summarize",

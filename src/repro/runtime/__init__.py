@@ -2,8 +2,9 @@
 
 Two tiers:
 
-* :class:`AsyncStorage` on the in-memory :class:`AsyncNetwork` (fast,
-  optional seeded jitter);
+* :class:`ObjectHost` / :class:`MuxClientHost` on the in-memory
+  :class:`AsyncNetwork` (fast, optional seeded jitter) -- the hosts
+  :class:`~repro.service.MultiRegisterStore` is built from;
 * :class:`TcpObjectServer` / :class:`TcpStorageClient` over localhost TCP
   with the binary wire codec (integration tier).
 
@@ -13,7 +14,6 @@ snapshots of raw binary wire frames) for the multiproc deployment.
 
 from .hosts import MuxClientHost, ObjectHost, coalesce_outgoing
 from .memnet import AsyncEnvelope, AsyncNetwork
-from .storage import AsyncStorage
 from .tcp import TcpObjectServer, TcpStorageClient
 from .wal import (FrameCompactor, ReplicaDurability, SnapshotStore,
                   WriteAheadLog)
@@ -23,7 +23,6 @@ __all__ = [
     "ReplicaDurability",
     "SnapshotStore",
     "WriteAheadLog",
-    "AsyncStorage",
     "AsyncNetwork",
     "AsyncEnvelope",
     "ObjectHost",

@@ -28,32 +28,10 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..automata.base import (ClientOperation, ObjectAutomaton, Outgoing,
                              Sink, resolve_batch_handler)
 from ..errors import BackpressureError, BusyRegisterError, TransportError
-from ..messages import Batch, Message, unbatch
+from ..messages import Batch, Message, as_frame, fast_batch, unbatch
 from ..spec.histories import History, READ, WRITE
 from ..types import DEFAULT_REGISTER, ProcessId, obj
 from .memnet import AsyncEnvelope, AsyncNetwork, report_error
-
-
-def fast_batch(messages: Tuple[Message, ...]) -> Batch:
-    """A :class:`Batch` from already-vetted protocol messages.
-
-    Callers guarantee every element is a non-batch :class:`Message`, so
-    construction skips ``Batch.__post_init__``'s re-scan.
-    """
-    batch = object.__new__(Batch)
-    object.__setattr__(batch, "messages", messages)
-    return batch
-
-
-def as_frame(sink: List[Message]) -> Any:
-    """One wire payload for a non-empty reply sink.
-
-    Centralizes the singleton-vs-batch idiom *and* the
-    :func:`fast_batch` precondition: sinks only ever collect non-batch
-    protocol messages (the batch handlers route anything else to their
-    leftovers), so the no-nesting re-scan can be skipped.
-    """
-    return sink[0] if len(sink) == 1 else fast_batch(tuple(sink))
 
 
 def coalesce_outgoing(outgoing: Outgoing) -> Outgoing:

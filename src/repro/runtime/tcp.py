@@ -39,11 +39,11 @@ from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
 from ..automata.base import (ClientOperation, ObjectAutomaton, Outgoing,
                              Sink, resolve_batch_handler)
 from ..errors import ReplicaUnavailableError, TransportError
-from ..messages import Batch, Message, register_of, unbatch
+from ..messages import Batch, Message, as_frame, register_of, unbatch
 from ..types import (ProcessId, ROLE_OBJECT, ROLE_READER, ROLE_WRITER,
                      obj)
 from .codec import BINARY_MAGIC, decode_message_binary, encode_message_binary
-from .hosts import as_frame, coalesce_outgoing
+from .hosts import coalesce_outgoing
 
 _S_LEN = struct.Struct("<I")
 _S_HEAD = struct.Struct("<BI")  # magic, body length
@@ -431,23 +431,8 @@ class TcpStorageClient:
 
     async def run(self, operation: ClientOperation,
                   timeout: Optional[float] = 30.0) -> Any:
-        for receiver, payload in operation.start() or []:
-            await self._send(receiver, payload)
-
-        async def pump() -> Any:
-            while not operation.done:
-                sender, message = await self._inbox.get()
-                for part in unbatch(message):
-                    for receiver, payload in (
-                            operation.on_message(sender, part) or []):
-                        await self._send(receiver, payload)
-            return operation.result
-
-        if operation.done:
-            return operation.result
-        if timeout is None:
-            return await pump()
-        return await asyncio.wait_for(pump(), timeout)
+        """Run one operation: the one-member case of :meth:`run_many`."""
+        return (await self.run_many([operation], timeout))[0]
 
     async def run_many(self, operations: List[ClientOperation],
                        timeout: Optional[float] = 30.0) -> List[Any]:

@@ -6,9 +6,9 @@ scale: a *fixed* set of ``S`` commodity base objects (one
 many registers -- SWMR by default, MWMR when the config declares several
 writers (each writer gets its own multiplexed client host and the
 protocols arbitrate with ``(epoch, writer_id)`` tags).  Contrast with one
-:class:`~repro.runtime.storage.AsyncStorage` per key, which builds ``S``
-object hosts, ``S`` mailboxes and a client host *per register* -- at 10k
-keys that is 40k+ hosts doing the work these same ``S`` hosts do here.
+store per key, which builds ``S`` object hosts, ``S`` mailboxes and a
+client host *per register* -- at 10k keys that is 40k+ hosts doing the
+work these same ``S`` hosts do here.
 
 Per-register protocol state lives in the object automata's register
 slots (server side) and in lazily created writer/reader states (client

@@ -30,9 +30,9 @@ from ..automata.base import (ClientOperation, ObjectAutomaton, Outgoing,
 from ..config import SystemConfig
 from ..errors import (PendingOperationError, ProtocolError,
                       SchedulerExhaustedError, SimulationError)
-from ..messages import (Batch, estimate_size, register_of, summarize,
-                        unbatch, Message)
-from ..types import DEFAULT_REGISTER, ProcessId, obj
+from ..messages import (Batch, as_frame, estimate_size, register_of,
+                        summarize, unbatch, Message)
+from ..types import ProcessId, obj
 from . import tracing
 from .delay import DelayModel, ZeroDelay
 from .envelope import Envelope
@@ -43,22 +43,17 @@ from .schedulers import FifoScheduler, Scheduler
 DEFAULT_MAX_STEPS = 1_000_000
 
 
-def _ack_frame(sink: Sink) -> Any:
-    """One reply payload for a non-empty ack sink (vector-ack path).
-
-    The sim-side twin of :func:`repro.runtime.hosts.as_frame`, kept
-    local because the runtime package transitively imports this module.
-    """
-    return sink[0] if len(sink) == 1 else Batch(tuple(sink))
-
-
 class OperationHandle:
     """A client operation as seen from the outside of the kernel."""
 
-    def __init__(self, operation: ClientOperation, invoked_at: float):
+    def __init__(self, operation: ClientOperation, invoked_at: float,
+                 batch: int):
         self.operation = operation
         self.invoked_at = invoked_at
         self.completed_at: Optional[float] = None
+        #: the :meth:`SimKernel.invoke_many` call this handle belongs to
+        #: (its first operation's id): a call's rounds leave together.
+        self.batch = batch
 
     @property
     def done(self) -> bool:
@@ -81,23 +76,6 @@ class OperationHandle:
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
         return f"OperationHandle({self.operation.describe()}, {state})"
-
-
-class _SimVectorGroup:
-    """Bookkeeping of one :meth:`SimKernel.invoke_many` batch.
-
-    Mirrors the asyncio vector engine deterministically: one delivery
-    step absorbs every part of an envelope, then each touched operation
-    advances once and the next round leaves as one :class:`Batch` per
-    base object.
-    """
-
-    __slots__ = ("client", "dirty")
-
-    def __init__(self, client: ProcessId):
-        self.client = client
-        #: handles touched by the envelope being delivered.
-        self.dirty: List[OperationHandle] = []
 
 
 class SimKernel:
@@ -138,9 +116,6 @@ class SimKernel:
         #: which degenerates to the classic one-op-per-client rule when
         #: everything addresses DEFAULT_REGISTER.
         self._pending_ops: Dict[ProcessId, Dict[str, OperationHandle]] = {}
-        #: (client, register) -> vector group driving that register.
-        self._vector_groups: Dict[Tuple[ProcessId, str],
-                                  _SimVectorGroup] = {}
         self._completion_callbacks: List[Callable[[OperationHandle], None]] = []
         self._invocation_callbacks: List[Callable[[OperationHandle], None]] = []
 
@@ -277,41 +252,23 @@ class SimKernel:
         self._completion_callbacks.append(callback)
 
     def invoke(self, operation: ClientOperation) -> OperationHandle:
-        """Invoke an operation on its client; returns a handle."""
-        client = operation.client_id
-        register_id = getattr(operation, "register_id", DEFAULT_REGISTER)
-        if not client.is_client:
-            raise ProtocolError(f"{client!r} is not a client")
-        if client in self._crashed:
-            raise ProtocolError(f"client {client!r} has crashed")
-        per_register = self._pending_ops.setdefault(client, {})
-        existing = per_register.get(register_id)
-        if existing is not None and not existing.done:
-            raise PendingOperationError(
-                f"client {client!r} already has {existing!r} in progress "
-                f"on register {register_id!r}")
-        handle = OperationHandle(operation, invoked_at=self.now)
-        per_register[register_id] = handle
-        self.trace.append(time=self.now, kind=tracing.INVOKE, process=client,
-                          operation_id=operation.operation_id,
-                          detail=operation.describe())
-        for callback in self._invocation_callbacks:
-            callback(handle)
-        self._dispatch_outgoing(operation, operation.start())
-        self._check_completion(client, handle)
-        return handle
+        """Invoke an operation on its client; returns a handle.
+
+        The one-member case of :meth:`invoke_many`.
+        """
+        return self.invoke_many([operation])[0]
 
     def invoke_many(self, operations: List[ClientOperation]
                     ) -> List[OperationHandle]:
         """Invoke a batch of same-client operations as *vector rounds*.
 
-        The deterministic twin of the asyncio vector engine: every round
-        of the batch leaves as one :class:`~repro.messages.Batch` per
-        base object, each delivery step absorbs a whole inbound frame
-        and advances the touched operations once.  Per-operation
-        ``messages_sent``/``bytes_sent`` counters are not maintained for
-        vector rounds (frames are shared across the batch); the
-        network-level totals in :meth:`metrics` account for everything.
+        The kernel's one client engine, the deterministic twin of the
+        asyncio vector engine: each operation's first round comes from
+        ``start_vector``, every round of the batch leaves as one frame
+        (a singleton or a :class:`~repro.messages.Batch`) per base
+        object, and each delivery step ``absorb``s a whole inbound frame
+        and ``advance``s the touched operations once.  The network-level
+        totals in :meth:`metrics` count the traffic.
         """
         operations = list(operations)
         if not operations:
@@ -338,12 +295,11 @@ class SimKernel:
                 raise PendingOperationError(
                     f"client {client!r} already has {existing!r} in "
                     f"progress on register {register_id!r}")
-        group = _SimVectorGroup(client)
         handles: List[OperationHandle] = []
         for operation in operations:
-            handle = OperationHandle(operation, invoked_at=self.now)
+            handle = OperationHandle(operation, invoked_at=self.now,
+                                     batch=operations[0].operation_id)
             per_register[operation.register_id] = handle
-            self._vector_groups[(client, operation.register_id)] = group
             self.trace.append(time=self.now, kind=tracing.INVOKE,
                               process=client,
                               operation_id=operation.operation_id,
@@ -358,32 +314,16 @@ class SimKernel:
         self._dispatch_vector(client, sink, leftovers)
         for handle in handles:
             self._check_completion(client, handle)
-            if handle.done:
-                self._vector_groups.pop(
-                    (client, handle.operation.register_id), None)
         return handles
 
     def _dispatch_vector(self, client: ProcessId, sink: Sink,
                          leftovers: Outgoing) -> None:
         if sink:
-            payload: Any = sink[0] if len(sink) == 1 else Batch(tuple(sink))
+            payload = as_frame(sink)
             for i in range(self.config.num_objects):
                 self._submit(client, obj(i), payload)
         for receiver, payload in leftovers:
             self._submit(client, receiver, payload)
-
-    def pending_operation(self, client: ProcessId,
-                          register_id: str = DEFAULT_REGISTER
-                          ) -> Optional[OperationHandle]:
-        handle = self._pending_ops.get(client, {}).get(register_id)
-        if handle is not None and not handle.done:
-            return handle
-        return None
-
-    def pending_operations(self, client: ProcessId) -> List[OperationHandle]:
-        """All in-flight operations of one client, across registers."""
-        return [handle for handle in self._pending_ops.get(client, {}).values()
-                if not handle.done]
 
     # ------------------------------------------------------------------
     # execution
@@ -493,16 +433,6 @@ class SimKernel:
             return summarize(payload)
         return repr(payload)
 
-    def _dispatch_outgoing(self, operation: ClientOperation,
-                           outgoing: Outgoing) -> None:
-        for receiver, payload in outgoing:
-            envelope = self._submit(operation.client_id, receiver, payload)
-            operation.messages_sent += 1
-            operation.bytes_sent += (
-                payload.estimated_size()
-                if isinstance(payload, Message) else estimate_size(payload))
-            del envelope
-
     def _batch_handler_for(self, receiver: ProcessId,
                            automaton: ObjectAutomaton) -> Callable:
         cached = self._batch_handlers.get(receiver)
@@ -542,8 +472,7 @@ class SimKernel:
                 leftovers = handler(envelope.sender,
                                     unbatch(envelope.payload), sink)
                 if sink:
-                    self._submit(receiver, envelope.sender,
-                                 _ack_frame(sink))
+                    self._submit(receiver, envelope.sender, as_frame(sink))
                 for reply_receiver, payload in leftovers or []:
                     self._submit(receiver, reply_receiver, payload)
                 return
@@ -553,45 +482,31 @@ class SimKernel:
                     self._submit(receiver, reply_receiver, payload)
             return
         # Client delivery: route each part to the pending operation of the
-        # register it addresses; clients with no pending operation on that
-        # register simply ignore stale traffic.  Parts addressed to a
-        # vector group are absorbed first and the touched operations
-        # advance once at the end of the (atomic) delivery step.
+        # register it addresses (clients with no pending operation on that
+        # register ignore stale traffic) and absorb it; at the end of the
+        # (atomic) delivery step each touched operation advances once, and
+        # each invoke_many batch's next round leaves as one frame per object.
         per_register = self._pending_ops.get(receiver)
         if per_register is None:
             return
-        vector_groups = self._vector_groups
-        touched: List[_SimVectorGroup] = []
+        touched: Dict[int, List[OperationHandle]] = {}
         for part in unbatch(envelope.payload):
-            register_id = register_of(part)
-            handle = per_register.get(register_id)
+            handle = per_register.get(register_of(part))
             if handle is None or handle.done:
                 continue
-            operation = handle.operation
-            group = vector_groups.get((receiver, register_id))
-            if group is not None:
-                operation.absorb(envelope.sender, part)
-                if handle not in group.dirty:
-                    group.dirty.append(handle)
-                    if len(group.dirty) == 1:
-                        touched.append(group)
-                continue
-            outgoing = operation.on_message(envelope.sender, part)
-            self._dispatch_outgoing(operation, outgoing or [])
-            self._check_completion(receiver, handle)
-        for group in touched:
+            handle.operation.absorb(envelope.sender, part)
+            dirty = touched.setdefault(handle.batch, [])
+            if handle not in dirty:
+                dirty.append(handle)
+        for dirty in touched.values():
             sink: Sink = []
             leftovers: Outgoing = []
-            for handle in group.dirty:
+            for handle in dirty:
                 if not handle.done:
                     handle.operation.advance(sink, leftovers)
             self._dispatch_vector(receiver, sink, leftovers)
-            for handle in group.dirty:
+            for handle in dirty:
                 self._check_completion(receiver, handle)
-                if handle.done:
-                    vector_groups.pop(
-                        (receiver, handle.operation.register_id), None)
-            group.dirty.clear()
 
     def _check_completion(self, client: ProcessId,
                           handle: OperationHandle) -> None:

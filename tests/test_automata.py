@@ -22,7 +22,6 @@ class TestClientOperationBase:
         op = NoopOperation(reader(0))
         assert not op.done
         assert op.rounds_used == 0
-        assert op.messages_sent == 0
 
     def test_complete_sets_result(self):
         op = NoopOperation(reader(0))

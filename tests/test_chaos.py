@@ -19,13 +19,17 @@ The acceptance-critical checks live here:
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.adversary import (STRATEGIES, build_strategy, spec_of,
                              strategy_names)
 from repro.adversary import byzantine as byz
@@ -241,6 +245,30 @@ class TestHarness:
             assert schedule_a == schedule_b
             assert verdict_a.fingerprint == verdict_b.fingerprint
             assert verdict_a.counters == verdict_b.counters
+
+    def test_fingerprint_is_stable_across_processes(self):
+        """A fingerprint depends on (scenario, seed) alone: two fresh
+        interpreters with different string-hash seeds (and different
+        identity hashes, by address-space randomisation) agree, so a
+        saved reproducer's fingerprint can be re-checked later."""
+        script = (
+            "from repro.chaos import get_scenario, run_seed\n"
+            "for name, seed in (('swmr-regular', 2), ('mwmr-atomic', 0),"
+            " ('safe-under-forgery', 0)):\n"
+            "    print(name, run_seed(get_scenario(name), seed)[1]"
+            ".fingerprint)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def fingerprints(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=300).stdout
+
+        first = fingerprints(1)
+        assert len(first.splitlines()) == 3
+        assert fingerprints(2) == first
 
     def test_sweep_matches_golden_table(self):
         """Behaviour pin: seeds 0-7 of every named scenario reproduce the

@@ -11,12 +11,13 @@ from repro.core.safe import SafeStorageProtocol
 from repro.errors import TransportError
 from repro.messages import (HistoryEntry, HistoryReadAck, Pw, PwAck, ReadAck,
                             ReadRequest, TagQuery, W, WriteAck)
-from repro.runtime import AsyncStorage, TcpObjectServer, TcpStorageClient
+from repro.runtime import TcpObjectServer, TcpStorageClient
 from repro.runtime.codec import (BINARY_MAGIC, decode_message_binary,
                                  encode_message_binary)
-from repro.types import (BOTTOM, INITIAL_TSVAL, TimestampValue, TsrArray,
-                         WRITER, WriterTag, WriteTuple, initial_write_tuple,
-                         reader)
+from repro.service import MultiRegisterStore
+from repro.types import (BOTTOM, DEFAULT_REGISTER, INITIAL_TSVAL,
+                         TimestampValue, TsrArray, WRITER, WriterTag,
+                         WriteTuple, initial_write_tuple, reader)
 
 
 def run(coro):
@@ -99,34 +100,39 @@ class TestCodec:
 
 
 class TestAsyncStorage:
+    """A one-register :class:`MultiRegisterStore` on the in-memory network."""
+
     @pytest.mark.parametrize("protocol_cls", [SafeStorageProtocol,
                                               RegularStorageProtocol,
                                               AuthenticatedProtocol])
     def test_write_then_read(self, protocol_cls):
         async def scenario():
             config = SystemConfig.optimal(t=1, b=1, num_readers=1)
-            async with AsyncStorage(protocol_cls(), config) as storage:
-                await storage.write("v1")
-                return await storage.read(0)
+            async with MultiRegisterStore(protocol_cls(), config) as store:
+                await store.write(DEFAULT_REGISTER, "v1")
+                return await store.read(DEFAULT_REGISTER, 0)
 
         assert run(scenario()) == "v1"
 
     def test_initial_read_is_bottom(self):
         async def scenario():
             config = SystemConfig.optimal(t=1, b=1)
-            async with AsyncStorage(SafeStorageProtocol(), config) as st:
-                return await st.read(0)
+            async with MultiRegisterStore(SafeStorageProtocol(),
+                                          config) as store:
+                return await store.read(DEFAULT_REGISTER, 0)
 
         assert run(scenario()) is BOTTOM
 
     def test_concurrent_clients_with_jitter(self):
         async def scenario():
             config = SystemConfig.optimal(t=1, b=1, num_readers=2)
-            async with AsyncStorage(SafeStorageProtocol(), config,
-                                    jitter=0.003, seed=2) as storage:
-                await storage.write("v1")
+            async with MultiRegisterStore(SafeStorageProtocol(), config,
+                                          jitter=0.003, seed=2) as store:
+                await store.write(DEFAULT_REGISTER, "v1")
                 results = await asyncio.gather(
-                    storage.write("v2"), storage.read(0), storage.read(1))
+                    store.write(DEFAULT_REGISTER, "v2"),
+                    store.read(DEFAULT_REGISTER, 0),
+                    store.read(DEFAULT_REGISTER, 1))
                 return results
 
         ok, r0, r1 = run(scenario())
@@ -137,12 +143,13 @@ class TestAsyncStorage:
     def test_survives_object_crashes(self):
         async def scenario():
             config = SystemConfig.optimal(t=2, b=1, num_readers=1)
-            async with AsyncStorage(SafeStorageProtocol(), config) as st:
-                await st.write("v1")
-                st.crash_object(0)
-                st.crash_object(1)
-                await st.write("v2")
-                return await st.read(0)
+            async with MultiRegisterStore(SafeStorageProtocol(),
+                                          config) as store:
+                await store.write(DEFAULT_REGISTER, "v1")
+                store.crash_object(0)
+                store.crash_object(1)
+                await store.write(DEFAULT_REGISTER, "v2")
+                return await store.read(DEFAULT_REGISTER, 0)
 
         assert run(scenario()) == "v2"
 
@@ -150,20 +157,21 @@ class TestAsyncStorage:
         async def scenario():
             from repro.adversary.byzantine import ValueForger
             config = SystemConfig.optimal(t=1, b=1, num_readers=1)
-            async with AsyncStorage(SafeStorageProtocol(), config) as st:
-                honest = st._object_hosts[0].automaton
-                st.make_byzantine(0, ValueForger(honest, config))
-                await st.write("real")
-                return await st.read(0)
+            async with MultiRegisterStore(SafeStorageProtocol(),
+                                          config) as store:
+                honest = store.object_automaton(0)
+                store.make_byzantine(0, ValueForger(honest, config))
+                await store.write(DEFAULT_REGISTER, "real")
+                return await store.read(DEFAULT_REGISTER, 0)
 
         assert run(scenario()) == "real"
 
     def test_use_before_start_rejected(self):
         async def scenario():
             config = SystemConfig.optimal(t=1, b=1)
-            storage = AsyncStorage(SafeStorageProtocol(), config)
+            store = MultiRegisterStore(SafeStorageProtocol(), config)
             with pytest.raises(TransportError):
-                await storage.write("x")
+                await store.write(DEFAULT_REGISTER, "x")
 
         run(scenario())
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.rules_registry import (_live_subclasses,
                                            _load_live_package)
-from repro.automata.base import resolve_batch_handler
+from repro.automata.base import ClientOperation, resolve_batch_handler
 from repro.adversary.byzantine import StaleReplier, ValueForger
 from repro.baselines.abd.protocol import (AbdQuery, AbdQueryAck, AbdStore,
                                           AbdStoreAck)
@@ -30,6 +30,7 @@ from repro.core.atomic.protocol import WriteBack, WriteBackAck
 from repro.core.regular import (CachedRegularStorageProtocol,
                                 RegularStorageProtocol)
 from repro.core.regular.object import RegularObject
+from repro.core.safe import SafeStorageProtocol
 from repro.crypto_sim import SignedValue, Signer
 from repro.errors import FencedWriteError, TransportError
 from repro.messages import (Batch, EpochFence, EpochFenceAck, HistoryEntry,
@@ -38,6 +39,8 @@ from repro.messages import (Batch, EpochFence, EpochFenceAck, HistoryEntry,
                             TagQuery, TagQueryAck, W, WriteAck, WriteFenced)
 from repro.runtime import codec
 from repro.runtime.codec import decode_message_binary, encode_message_binary
+from repro.runtime.hosts import MuxClientHost, ObjectHost
+from repro.runtime.memnet import AsyncNetwork
 from repro.runtime.tcp import TcpObjectServer, TcpStorageClient
 from repro.service import MultiRegisterStore
 from repro.sim.kernel import SimKernel
@@ -614,6 +617,114 @@ class TestVectorEngine:
         # The override's semantics (silence) must win over the parent's
         # fast path, which would have produced an ack.
         assert sink == [] and (leftovers or []) == []
+
+
+class TagQuorum(ClientOperation):
+    """Defines only the vector triple: one TagQuery round, done at a
+    quorum of acks, returning the highest tag reported."""
+
+    kind = "READ"
+
+    def __init__(self, config):
+        super().__init__(WRITER)
+        self.config = config
+        self.tags = {}
+
+    def start_vector(self, sink, leftovers):
+        self.begin_round()
+        sink.append(TagQuery(nonce=self.operation_id,
+                             register_id=self.register_id))
+
+    def absorb(self, sender, message):
+        if (isinstance(message, TagQueryAck)
+                and message.nonce == self.operation_id):
+            self.tags[sender.index] = message.tag
+
+    def advance(self, sink, leftovers):
+        if not self.done and len(self.tags) >= self.config.quorum_size:
+            self.complete(max(self.tags.values()))
+
+
+class TestOneClientContract:
+    """Every engine runs operations through start_vector/absorb/advance
+    alone; single-operation calls are one-member vector rounds."""
+
+    def test_vector_only_operation_on_sim_kernel(self):
+        config = SystemConfig.optimal(t=1, b=1, num_readers=1)
+        kernel = SimKernel(config)
+        kernel.register_objects(SafeStorageProtocol().make_objects(config))
+        handle = kernel.run_operation(TagQuorum(config))
+        assert handle.result == WriterTag(0, 0)
+        assert handle.rounds_used == 1
+
+    def test_vector_only_operation_on_mux_client_host(self):
+        async def scenario():
+            config = SystemConfig.optimal(t=1, b=1, num_readers=1)
+            network = AsyncNetwork()
+            hosts = [ObjectHost(o, network) for o in
+                     SafeStorageProtocol().make_objects(config)]
+            for host in hosts:
+                host.start()
+            client = MuxClientHost(WRITER, network)
+            try:
+                return await client.run(TagQuorum(config), timeout=5)
+            finally:
+                client.stop()
+                for host in hosts:
+                    host.stop()
+
+        assert run(scenario()) == WriterTag(0, 0)
+
+    def test_vector_only_operation_on_tcp_client(self):
+        async def scenario():
+            config = SystemConfig.optimal(t=1, b=1, num_readers=1)
+            servers = [TcpObjectServer(o) for o in
+                       SafeStorageProtocol().make_objects(config)]
+            endpoints = [("127.0.0.1", await s.start()) for s in servers]
+            client = TcpStorageClient(WRITER, endpoints)
+            await client.connect()
+            try:
+                return await client.run(TagQuorum(config), timeout=5)
+            finally:
+                await client.close()
+                for server in servers:
+                    await server.stop()
+
+        assert run(scenario()) == WriterTag(0, 0)
+
+    def test_tcp_run_skips_an_aborted_endpoint(self):
+        """A single-key run treats one dead replica as a slow object,
+        as run_many does, instead of failing the operation."""
+        async def scenario():
+            protocol = RegularStorageProtocol()
+            config = SystemConfig.optimal(t=1, b=1, num_readers=1)
+            servers = [TcpObjectServer(o)
+                       for o in protocol.make_objects(config)]
+            endpoints = [("127.0.0.1", await s.start()) for s in servers]
+            writer_client = TcpStorageClient(WRITER, endpoints)
+            reader_client = TcpStorageClient(reader(0), endpoints)
+            await writer_client.connect()
+            await reader_client.connect()
+            try:
+                # replica 3 dies: listener gone, connections reset
+                await servers[3].stop()
+                for client in (writer_client, reader_client):
+                    client._connections[3][1].transport.abort()
+                await asyncio.sleep(0)
+                written = await writer_client.run(
+                    protocol.make_write(protocol.make_writer_state(config),
+                                        "v"), timeout=5)
+                read = await reader_client.run(
+                    protocol.make_read(
+                        protocol.make_reader_state(config, 0)), timeout=5)
+                return written, read
+            finally:
+                await writer_client.close()
+                await reader_client.close()
+                for server in servers[:3]:
+                    await server.stop()
+
+        assert run(scenario()) == ("OK", "v")
 
 
 class TestTcpWireFormats:
