@@ -22,6 +22,8 @@ from repro.spec.histories import READ
 from repro.harness.metrics import max_rounds
 
 T, B = 2, 1
+#: writes before the measured read: full histories grow with them.
+WRITES = 8
 
 ENTRIES = [
     ("abd-regular [3]", AbdRegularProtocol, 0),
@@ -38,9 +40,13 @@ def measure(factory, b):
     config = SystemConfig.with_objects(
         t=T, b=b, num_objects=protocol.min_objects(T, b), num_readers=1)
 
-    # fault-free
+    # fault-free: a reader that has read before, as the §5.1 cache
+    # assumes, measured after several writes
     system = StorageSystem(factory(), config)
-    system.write("w1")
+    for n in range(WRITES):
+        system.write(f"w{n}")
+    system.read(0)
+    system.write("w-last")
     before = system.kernel.metrics()
     handle = system.read_handle(0)
     after = system.kernel.metrics()

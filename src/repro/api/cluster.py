@@ -66,7 +66,7 @@ class Admin:
     async def heal_replica(self, shard_id: int, index: int,
                            automaton: Optional[ObjectAutomaton] = None
                            ) -> ReconfigReport:
-        """Replace one (crashed) base object and re-install its values."""
+        """Replace one (crashed) base object and install current tuples."""
         return await self.coordinator.heal_replica(shard_id, index,
                                                    automaton)
 

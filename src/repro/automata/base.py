@@ -32,7 +32,7 @@ import copy
 from abc import ABC, abstractmethod
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..errors import ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from ..messages import Batch, EpochFenceAck, Message, WriteFenced
 from ..types import DEFAULT_REGISTER, ProcessId, fresh_operation_id, obj
 
@@ -113,23 +113,21 @@ class MultiRegisterObject(ObjectAutomaton):
 
     Every multi-register object also understands *epoch fences*
     (:class:`~repro.messages.EpochFence`), the reconfiguration
-    primitive: ``fences[register_id]`` is the minimum tag epoch a write
-    round must carry to be applied.  Fenced write rounds are refused with
-    a :class:`~repro.messages.WriteFenced` report instead of being
-    silently applied, so a stale writer terminates (with an error) rather
-    than corrupting a register that has been handed to another replica
-    set.  Concrete automata consult :meth:`_fence_rejects` on their write
-    paths and dispatch :class:`~repro.messages.EpochFence` to
+    primitive: ``fences[register_id]`` is the epoch of the fence that
+    retired the register here.  Write rounds on a fenced register are
+    refused with a :class:`~repro.messages.WriteFenced` report instead of
+    being silently applied, so a stale writer terminates (with an error)
+    rather than corrupting a register that has been handed to another
+    replica set.  Concrete automata consult :meth:`_fence_rejects` on
+    their write paths and dispatch :class:`~repro.messages.EpochFence` to
     :meth:`_on_epoch_fence`.
     """
 
     def __init__(self, object_index: int):
         super().__init__(object_index)
         self.slots: dict = {}
-        #: register_id -> minimum tag epoch accepted by write rounds.
+        #: register_id -> epoch of the fence retiring it here.
         self.fences: dict = {}
-        #: registers retired here outright: every write round refused.
-        self.hard_fences: set = set()
 
     @abstractmethod
     def _new_slot(self) -> Any:
@@ -147,41 +145,28 @@ class MultiRegisterObject(ObjectAutomaton):
 
     # -- epoch fencing (reconfiguration) --------------------------------
     def _on_epoch_fence(self, sender: ProcessId, message: Any) -> Outgoing:
-        """Ratchet the register's fence upward and acknowledge it.
+        """Retire the register (the epoch only ratchets up) and ack.
 
-        Fence messages never weaken a fence (epochs only rise, hard
-        stays hard); the one exception is an explicit ``lift`` -- the
-        control plane handing a previously moved-away register back to
-        this replica set -- which clears both fences.  Clients are
-        trusted in the model, and tag arbitration still buries any
-        stale write below the replayed tag.
+        The one way back is an explicit ``lift`` -- the control plane
+        handing a previously moved-away register back to this replica
+        set.  Clients are trusted in the model, and tag arbitration
+        still buries any stale write below the replayed tag.
         """
         register_id = message.register_id
-        if getattr(message, "lift", False):
+        if message.lift:
             self.fences.pop(register_id, None)
-            self.hard_fences.discard(register_id)
-            return [(sender, EpochFenceAck(
-                nonce=message.nonce,
-                object_index=self.object_index,
-                epoch=message.epoch,
-                register_id=register_id))]
-        current = self.fences.get(register_id, 0)
-        if message.epoch > current:
-            self.fences[register_id] = message.epoch
-        if getattr(message, "hard", False):
-            self.hard_fences.add(register_id)
+        elif message.hard:
+            self.fences[register_id] = max(
+                message.epoch, self.fences.get(register_id, 0))
         return [(sender, EpochFenceAck(
             nonce=message.nonce,
             object_index=self.object_index,
-            epoch=self.fences[register_id],
+            epoch=self.fences.get(register_id, message.epoch),
             register_id=register_id))]
 
-    def _fence_rejects(self, register_id: str, epoch: int) -> bool:
-        """Whether a write round installing ``epoch`` must be refused."""
-        if register_id in self.hard_fences:
-            return True  # retired: no epoch passes, however high
-        fence = self.fences.get(register_id)
-        return fence is not None and epoch < fence
+    def _fence_rejects(self, register_id: str) -> bool:
+        """Whether write rounds on ``register_id`` must be refused."""
+        return register_id in self.fences
 
     def _fence_nack_msg(self, register_id: str, epoch: int,
                         wid: int = 0, nonce: int = 0) -> WriteFenced:
@@ -339,6 +324,11 @@ class ClientOperation:
         self.done = True
         self._result = result
         return []
+
+    def install_frame(self, nonce: int) -> Optional[Message]:
+        """The frame installing the tuple this completed READ returned at
+        one replica (``None`` for the initial value); replica repair."""
+        raise ConfigurationError(f"{type(self).__name__} cannot install")
 
     @property
     def result(self) -> Any:

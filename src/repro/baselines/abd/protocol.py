@@ -14,9 +14,9 @@ from ...errors import (ConfigurationError, FencedWriteError,
 from ...messages import (EpochFence, Message, TagQuery, TagQueryAck,
                          WriteFenced)
 from ...protocols import ATOMIC, REGULAR, StorageProtocol
-from ...types import (BOTTOM, DEFAULT_REGISTER, INITIAL_TSVAL, ProcessId,
-                      TimestampValue, WRITER, WriterTag, _Bottom, obj,
-                      reader, writer)
+from ...types import (BOTTOM, DEFAULT_REGISTER, INITIAL_TSVAL, TAG0,
+                      ProcessId, TimestampValue, WRITER, WriterTag, _Bottom,
+                      obj, reader, writer)
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +26,12 @@ from ...types import (BOTTOM, DEFAULT_REGISTER, INITIAL_TSVAL, ProcessId,
 
 @dataclass(frozen=True, slots=True)
 class AbdStore(Message):
-    """Install <ts, v> (used by the writer and by read write-backs).
+    """Install <ts, v> (used by the writer, read write-backs and heals).
 
     ``write_back`` distinguishes a reader's write-back from a writer's
-    store: epoch fences (reconfiguration) refuse stale writer stores but
-    let write-backs through -- a write-back only re-installs a tag that
-    already exists at a quorum, so it cannot smuggle a new write past a
-    fence.
+    store: fences (reconfiguration) refuse writer stores but let
+    write-backs through -- a write-back only re-installs a tag a read
+    returned, so it cannot smuggle a new write past a fence.
     """
 
     tsval: TimestampValue
@@ -102,8 +101,7 @@ class AbdObject(MultiRegisterObject):
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
         if isinstance(message, AbdStore):
             if (not message.write_back
-                    and self._fence_rejects(message.register_id,
-                                            message.tsval.ts)):
+                    and self._fence_rejects(message.register_id)):
                 return self._fence_nack(sender, message.register_id,
                                         message.tsval.ts,
                                         message.tsval.wid,
@@ -294,6 +292,12 @@ class AbdReadOperation(ClientOperation):
             if len(self._wb_ackers) >= self.config.quorum_size:
                 return self.complete(self._chosen.value)
         return []
+
+    def install_frame(self, nonce: int) -> Optional[AbdStore]:
+        if self._chosen.tag == TAG0:
+            return None
+        return AbdStore(tsval=self._chosen, nonce=nonce,
+                        register_id=self.register_id, write_back=True)
 
     def _start_write_back(self) -> Outgoing:
         """Atomicity: install the chosen value at a majority first."""

@@ -89,8 +89,7 @@ class AuthObject(MultiRegisterObject):
         if isinstance(message, AuthStore):
             payload = message.signed.payload
             if (isinstance(payload, TimestampValue)
-                    and self._fence_rejects(message.register_id,
-                                            payload.ts)):
+                    and self._fence_rejects(message.register_id)):
                 return self._fence_nack(sender, message.register_id,
                                         payload.ts, payload.wid,
                                         nonce=message.nonce)
@@ -255,6 +254,8 @@ class AuthReadOperation(ClientOperation):
         self.nonce = 0
         self._answers: Dict[int, Optional[SignedValue]] = {}
         self.rejected_forgeries = 0
+        #: the validly signed pair this read returned (None for ⊥).
+        self.returned: Optional[SignedValue] = None
 
     def start(self) -> Outgoing:
         self.nonce = self.state.next_nonce()
@@ -274,7 +275,7 @@ class AuthReadOperation(ClientOperation):
         return []
 
     def _select(self) -> Any:
-        best: Optional[TimestampValue] = None
+        best: Optional[SignedValue] = None
         for signed in self._answers.values():
             if signed is None:
                 continue
@@ -286,10 +287,17 @@ class AuthReadOperation(ClientOperation):
             if not isinstance(payload, TimestampValue):
                 self.rejected_forgeries += 1
                 continue
-            if best is None or payload.tag > best.tag:
-                best = payload
-        self.tag = best.tag if best is not None else TAG0
-        return best.value if best is not None else BOTTOM
+            if best is None or payload.tag > best.payload.tag:
+                best = signed
+        self.returned = best
+        self.tag = best.payload.tag if best is not None else TAG0
+        return best.payload.value if best is not None else BOTTOM
+
+    def install_frame(self, nonce: int) -> Optional[AuthStore]:
+        if self.returned is None:
+            return None
+        return AuthStore(signed=self.returned, nonce=nonce,
+                         register_id=self.register_id)
 
 
 class AuthenticatedProtocol(StorageProtocol):

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from ...automata.base import (ClientOperation, MultiRegisterObject,
                               Outgoing)
 from ...config import SystemConfig
+from ...core.safe.object import SafeObject
 from ...core.safe.predicates import CandidateTracker
+from ...core.safe.reader import install_write_back
 from ...core.safe.writer import SafeWriterState, SafeWriteOperation
 from ...errors import SimulationError
 from ...messages import (EpochFence, Pw, PwAck, ReadAck, ReadRequest,
-                         TagQuery, TagQueryAck, W, WriteAck)
+                         TagQuery, TagQueryAck, W, WriteAck, WriteBack)
 from ...protocols import SAFE, StorageProtocol
 from ...quorums import confirmation_threshold, elimination_threshold
 from ...types import (BOTTOM, DEFAULT_REGISTER, INITIAL_TSVAL, TAG0,
@@ -62,11 +64,16 @@ class PassiveObject(MultiRegisterObject):
     def w(self) -> WriteTuple:
         return self._slot(DEFAULT_REGISTER).w
 
+    #: replica repair's installs, arbitrated by tag as for a ``W``.
+    _write_back_reply = SafeObject._write_back_reply
+
     def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
         if isinstance(message, EpochFence):
             return self._on_epoch_fence(sender, message)
+        if isinstance(message, WriteBack) and sender.is_client:
+            return [(sender, self._write_back_reply(message))]
         if isinstance(message, (Pw, W)) and self._fence_rejects(
-                message.register_id, message.ts):
+                message.register_id):
             return self._fence_nack(sender, message.register_id,
                                     message.ts, message.wid)
         if isinstance(message, Pw):
@@ -133,6 +140,8 @@ class PassiveReadOperation(ClientOperation):
     """Accumulating multi-round read; rounds grow with Byzantine effort."""
 
     kind = "READ"
+    #: the tuple this READ returned (``None`` for ⊥), for replica repair.
+    returned: Optional[WriteTuple] = None
 
     def __init__(self, state: PassiveReaderState, max_rounds: int = 64):
         super().__init__(reader(state.reader_index))
@@ -196,12 +205,15 @@ class PassiveReadOperation(ClientOperation):
         candidate = self.tracker.returnable()
         if candidate is not None:
             self.tag = candidate.tag
+            self.returned = candidate
             self.complete(candidate.tsval.value)
             return
         if (self.tracker._candidates  # has ever seen candidates
                 and self.tracker.candidates_empty()):
             self.tag = TAG0
             self.complete(BOTTOM)
+
+    install_frame = install_write_back
 
 
 class PassiveReaderProtocol(StorageProtocol):

@@ -2,71 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Set
 
-from ...automata.base import Outgoing, Sink
+from ...automata.base import Sink
 from ...config import SystemConfig
-from ...messages import HistoryEntry, Message
+from ...messages import WriteBack, WriteBackAck
 from ...protocols import ATOMIC
-from ...types import DEFAULT_REGISTER, TAG0, ProcessId, WriteTuple
+from ...types import TAG0, ProcessId
 from ..regular import (RegularObject, RegularReaderState,
                        RegularReadOperation, RegularStorageProtocol)
 from ..regular.reader import PHASE_WRITE_BACK
 
 
-@dataclass(frozen=True, slots=True)
-class WriteBack(Message):
-    """Reader-to-object: install tuple ``c`` at slot ``c.ts``.
-
-    Readers are non-malicious in the model (clients may only crash), so
-    objects may honour these -- but only into empty or incomplete slots:
-    a complete writer-sourced entry is never overwritten.
-    """
-
-    c: WriteTuple
-    nonce: int
-    reader_index: int
-    register_id: str = DEFAULT_REGISTER
-    wire = (72, "nonce:i64 reader_index:u32 8x register_id:str c:wtuple")
-
-
-@dataclass(frozen=True, slots=True)
-class WriteBackAck(Message):
-    nonce: int
-    object_index: int
-    register_id: str = DEFAULT_REGISTER
-    wire = (73, "nonce:i64 object_index:u32 8x register_id:str")
-
-
 class AtomicObject(RegularObject):
-    """Regular object that additionally accepts reader write-backs."""
-
-    #: The write-back override only *adds* a message type; the regular
-    #: object's batched fast path stays valid for the types it handles
-    #: (unknown types fall through to ``on_message`` there).
-    _on_message_batch_compatible = True
-
-    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        if isinstance(message, WriteBack):
-            return self._on_write_back(sender, message)
-        return super().on_message(sender, message)
-
-    def _on_write_back(self, sender: ProcessId,
-                       message: WriteBack) -> Outgoing:
-        if not sender.is_reader:
-            return []  # only readers may write back
-        history = self._slot(message.register_id).history
-        entry = history.get(message.c.tag)
-        if entry is None or entry.w is None:
-            history[message.c.tag] = HistoryEntry(pw=message.c.tsval,
-                                                  w=message.c)
-        # Complete slots stay as the writer installed them; the ack is
-        # sent regardless -- the reader only needs to know a quorum has
-        # *at least* this information.
-        return [(sender, WriteBackAck(nonce=message.nonce,
-                                      object_index=self.object_index,
-                                      register_id=message.register_id))]
+    """The regular object, which already installs write-backs."""
 
 
 class AtomicReadOperation(RegularReadOperation):
@@ -99,7 +48,7 @@ class AtomicReadOperation(RegularReadOperation):
                 # Write-back reached a quorum: the chosen tuple is now
                 # quorum-held, which is exactly the certification a lease
                 # needs under *atomic* semantics.
-                self._grant(self._chosen.tag, self._chosen.tsval.value)
+                self._grant(self._chosen)
                 self.complete(self._chosen.tsval.value)
             return
         super().advance(sink, leftovers)

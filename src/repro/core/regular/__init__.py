@@ -21,7 +21,8 @@ from ...protocols import REGULAR, StorageProtocol
 from ..safe.writer import SafeWriterState, SafeWriteOperation
 from .evidence import RegularEvidence
 from .object import RegularObject
-from .reader import RegularReaderState, RegularReadOperation
+from .reader import (InstallReadOperation, RegularReaderState,
+                     RegularReadOperation)
 
 
 class RegularStorageProtocol(StorageProtocol):
@@ -62,6 +63,11 @@ class RegularStorageProtocol(StorageProtocol):
     def make_read(self, reader_state: RegularReaderState
                   ) -> RegularReadOperation:
         return RegularReadOperation(reader_state, cached=self.cached_reads)
+
+    def make_install_read(self, reader_state: RegularReaderState
+                          ) -> InstallReadOperation:
+        # No atomic write-back either: the install goes to one replica.
+        return InstallReadOperation(reader_state)
 
 
 class CachedRegularStorageProtocol(RegularStorageProtocol):

@@ -33,7 +33,7 @@ from ...config import SystemConfig
 from ...messages import (Batch, EpochFence, HistoryEntry, HistoryReadAck,
                          LeaseProbe, LeaseProbeAck, Message,
                          Pw, ReadRequest, PwAck, TagQuery, TagQueryAck, W,
-                         WriteAck)
+                         WriteAck, WriteBack, WriteBackAck)
 from ...types import (DEFAULT_REGISTER, INITIAL_TSVAL, TAG0, ProcessId,
                       WriterTag, initial_write_tuple)
 
@@ -130,6 +130,8 @@ class RegularObject(MultiRegisterObject):
             reply = self._lease_reply(message)
         elif isinstance(message, EpochFence):
             return self._on_epoch_fence(sender, message)
+        elif isinstance(message, WriteBack) and sender.is_client:
+            reply = self._write_back_reply(message)
         else:
             return []
         return [] if reply is None else [(sender, reply)]
@@ -189,9 +191,7 @@ class RegularObject(MultiRegisterObject):
             slot = self.slots[message.register_id] = self._new_slot()
         top = slot.top_tag()
         entry = slot.history.get(message.tag)
-        fenced = bool(self.hard_fences or self.fences) and (
-            message.register_id in self.hard_fences
-            or message.register_id in self.fences)
+        fenced = bool(self.fences) and message.register_id in self.fences
         return LeaseProbeAck(
             nonce=message.nonce,
             object_index=self.object_index,
@@ -202,11 +202,9 @@ class RegularObject(MultiRegisterObject):
 
     # -- lines 4-9 -------------------------------------------------------
     def _pw_reply(self, message: Pw) -> Optional[Message]:
-        # Fence state short-circuit: both containers are empty unless a
-        # reconfiguration ever touched this replica, so the common case
-        # costs two truthiness checks.
-        if ((self.fences or self.hard_fences)
-                and self._fence_rejects(message.register_id, message.ts)):
+        # Fence short-circuit: empty unless a handoff ever retired a
+        # register here, so the common case costs one truthiness check.
+        if self.fences and message.register_id in self.fences:
             return self._fence_nack_msg(message.register_id,
                                         message.ts, message.wid)
         slot = self.slots.get(message.register_id)
@@ -249,8 +247,7 @@ class RegularObject(MultiRegisterObject):
 
     # -- lines 10-14 -----------------------------------------------------
     def _w_reply(self, message: W) -> Optional[Message]:
-        if ((self.fences or self.hard_fences)
-                and self._fence_rejects(message.register_id, message.ts)):
+        if self.fences and message.register_id in self.fences:
             return self._fence_nack_msg(message.register_id,
                                         message.ts, message.wid)
         slot = self.slots.get(message.register_id)
@@ -271,6 +268,18 @@ class RegularObject(MultiRegisterObject):
                             register_id=message.register_id,
                             wid=message.wid)
         return None
+
+    def _write_back_reply(self, message: WriteBack) -> WriteBackAck:
+        """Fill slot ``c.tag`` unless a complete entry holds it; always
+        acknowledged (the sender needs *at least* this information)."""
+        history = self._slot(message.register_id).history
+        entry = history.get(message.c.tag)
+        if entry is None or entry.w is None:
+            history[message.c.tag] = HistoryEntry(pw=message.c.tsval,
+                                                  w=message.c)
+        return WriteBackAck(nonce=message.nonce,
+                            object_index=self.object_index,
+                            register_id=message.register_id)
 
     # -- lines 15-19 -----------------------------------------------------
     def _read_reply(self, message: ReadRequest

@@ -27,8 +27,9 @@ from ...config import SystemConfig
 from ...errors import ProtocolError
 from ...messages import HistoryReadAck, LeaseProbe, LeaseProbeAck, ReadRequest
 from ...quorums import confirmation_threshold, elimination_threshold
-from ...types import BOTTOM, TAG0, ProcessId, WriterTag, reader
+from ...types import BOTTOM, TAG0, ProcessId, WriterTag, WriteTuple, reader
 from ..safe.predicates import conflict_pairs, exists_conflict_free_quorum
+from ..safe.reader import install_write_back
 from .evidence import RegularEvidence
 
 #: Explicit phases of the unified read state machine.  The fast path is
@@ -118,10 +119,10 @@ class RegularReadOperation(ClientOperation):
         else:
             sink.append(self._begin_classic())
 
-    def _grant(self, tag: WriterTag, value: Any) -> None:
+    def _grant(self, c: WriteTuple) -> None:
         """Share certified evidence with every reader of the pool."""
         if self.state.leases is not None:
-            self.state.leases.grant(self.register_id, tag, value)
+            self.state.leases.grant(self.register_id, c.tag, c.tsval.value)
 
     def _begin_probe(self) -> LeaseProbe:
         """Phase 0: one broadcast validating the lease against a quorum."""
@@ -274,7 +275,7 @@ class RegularReadOperation(ClientOperation):
             # A classic read's confirmed candidate is exactly the certified
             # evidence a lease needs (regular semantics here; the atomic
             # extension grants only after write-back).
-            self._grant(candidate.tag, value)
+            self._grant(candidate)
             self.complete(value)
             return
         if self.cached and self.evidence.candidates_empty():
@@ -289,3 +290,24 @@ class RegularReadOperation(ClientOperation):
         mode = "cached" if self.cached else "full-history"
         return (f"READ#{self.operation_id} by r{self.reader_index + 1} "
                 f"({mode}, tsrFR={self.tsr_first_round})")
+
+
+class InstallReadOperation(RegularReadOperation):
+    """Replica repair's READ: classic and full-history, so it always
+    names the tuple it returns (a lease hit or a §5.1 cached return names
+    none), and it grants no lease -- that tuple may be held by only b+1
+    objects, which certifies no lease under atomic semantics (an atomic
+    read grants only after its write-back)."""
+
+    returned: Optional[WriteTuple] = None
+
+    def __init__(self, state: RegularReaderState):
+        super().__init__(state, cached=False)
+
+    def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
+        sink.append(self._begin_classic())
+
+    def _grant(self, c: WriteTuple) -> None:
+        self.returned = c  # kept for the install, shared with no one
+
+    install_frame = install_write_back

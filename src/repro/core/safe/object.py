@@ -36,7 +36,8 @@ from typing import Any, List, Optional, Tuple
 from ...automata.base import MultiRegisterObject, Outgoing, Sink
 from ...config import SystemConfig
 from ...messages import (Batch, EpochFence, Message, Pw, PwAck, ReadAck,
-                         ReadRequest, TagQuery, TagQueryAck, W, WriteAck)
+                         ReadRequest, TagQuery, TagQueryAck, W, WriteAck,
+                         WriteBack, WriteBackAck)
 from ...types import (DEFAULT_REGISTER, INITIAL_TSVAL, ProcessId,
                       TimestampValue, WriterTag, WriteTuple,
                       initial_write_tuple)
@@ -107,6 +108,8 @@ class SafeObject(MultiRegisterObject):
             reply = self._tag_reply(message)
         elif isinstance(message, EpochFence):
             return self._on_epoch_fence(sender, message)
+        elif isinstance(message, WriteBack) and sender.is_client:
+            reply = self._write_back_reply(message)
         else:
             # Unknown traffic (e.g. probes from baselines wired
             # incorrectly) is ignored rather than crashing the object: a
@@ -155,10 +158,9 @@ class SafeObject(MultiRegisterObject):
 
     # -- lines 3-7 -------------------------------------------------------
     def _pw_reply(self, message: Pw) -> Optional[Message]:
-        # Fence state short-circuit: both containers are empty unless a
-        # reconfiguration ever touched this replica.
-        if ((self.fences or self.hard_fences)
-                and self._fence_rejects(message.register_id, message.ts)):
+        # Fence short-circuit: empty unless a handoff ever retired a
+        # register here, so the common case costs one truthiness check.
+        if self.fences and message.register_id in self.fences:
             return self._fence_nack_msg(message.register_id,
                                         message.ts, message.wid)
         slot = self.slots.get(message.register_id)
@@ -183,8 +185,7 @@ class SafeObject(MultiRegisterObject):
 
     # -- lines 8-12 ------------------------------------------------------
     def _w_reply(self, message: W) -> Optional[Message]:
-        if ((self.fences or self.hard_fences)
-                and self._fence_rejects(message.register_id, message.ts)):
+        if self.fences and message.register_id in self.fences:
             return self._fence_nack_msg(message.register_id,
                                         message.ts, message.wid)
         slot = self.slots.get(message.register_id)
@@ -205,6 +206,20 @@ class SafeObject(MultiRegisterObject):
                         object_index=self.object_index,
                         register_id=message.register_id,
                         wid=message.wid)
+
+    def _write_back_reply(self, message: WriteBack) -> WriteBackAck:
+        """Tag-only arbitration as for a ``W``, always acknowledged."""
+        slot = self._slot(message.register_id)
+        c = message.c
+        if c.tag >= slot.tag:
+            slot.ts, slot.wid = c.tag
+            slot.pw = c.tsval
+            slot.w = c
+        elif c.tag > slot.w.tag:
+            slot.w = c
+        return WriteBackAck(nonce=message.nonce,
+                            object_index=self.object_index,
+                            register_id=message.register_id)
 
     # -- lines 13-17 -----------------------------------------------------
     def _read_reply(self, message: ReadRequest) -> Optional[ReadAck]:

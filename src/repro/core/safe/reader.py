@@ -27,11 +27,23 @@ from typing import Any, Optional
 from ...automata.base import ClientOperation, Outgoing, Sink
 from ...config import SystemConfig
 from ...errors import ProtocolError
-from ...messages import ReadAck, ReadRequest
+from ...messages import ReadAck, ReadRequest, WriteBack
 from ...quorums import confirmation_threshold, elimination_threshold
-from ...types import BOTTOM, TAG0, ProcessId, reader
+from ...types import BOTTOM, TAG0, ProcessId, WriteTuple, reader
 from .predicates import (CandidateTracker, conflict_pairs,
                          exists_conflict_free_quorum)
+
+
+def install_write_back(read: ClientOperation,
+                       nonce: int) -> Optional[WriteBack]:
+    """``install_frame`` of the reads that return a stored tuple: the
+    tuple they returned (``read.returned``) as a
+    :class:`~repro.messages.WriteBack`, ``None`` for the initial one."""
+    c = read.returned
+    if c is None or c.tag == TAG0:
+        return None
+    return WriteBack(c=c, nonce=nonce, reader_index=read.client_id.index,
+                     register_id=read.register_id)
 
 
 @dataclass
@@ -53,6 +65,8 @@ class SafeReadOperation(ClientOperation):
     """One ``READ()`` invocation (Figure 4, lines 7-28)."""
 
     kind = "READ"
+    #: the tuple this READ returned (``None`` for ⊥), for replica repair.
+    returned: Optional[WriteTuple] = None
 
     def __init__(self, state: SafeReaderState):
         super().__init__(reader(state.reader_index))
@@ -151,6 +165,7 @@ class SafeReadOperation(ClientOperation):
         candidate = self.tracker.returnable()
         if candidate is not None:
             self.tag = candidate.tag
+            self.returned = candidate
             self.complete(candidate.tsval.value)
             return
         if self.tracker.candidates_empty():
@@ -158,6 +173,8 @@ class SafeReadOperation(ClientOperation):
             # allows any value -- the paper returns v0.
             self.tag = TAG0
             self.complete(BOTTOM)
+
+    install_frame = install_write_back
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

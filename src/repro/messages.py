@@ -161,6 +161,34 @@ class WriteAck(Message):
     wire = (4, "ts:i64 wid:u32 object_index:u32 register_id:str")
 
 
+@dataclass(frozen=True, slots=True)
+class WriteBack(Message):
+    """Client-to-object: install tuple ``c``, which a read returned.
+
+    Atomic reads write back to a quorum; replica repair installs at the
+    replaced replica only.  Clients are non-malicious in the model, so
+    objects honour these, arbitrating by tag alone, and always ack.
+    """
+
+    c: WriteTuple
+    nonce: int
+    reader_index: int
+    register_id: str = DEFAULT_REGISTER
+    wire = (72, "nonce:i64 reader_index:u32 8x register_id:str c:wtuple")
+
+    @property
+    def tag(self) -> WriterTag:
+        return self.c.tag
+
+
+@dataclass(frozen=True, slots=True)
+class WriteBackAck(Message):
+    nonce: int
+    object_index: int
+    register_id: str = DEFAULT_REGISTER
+    wire = (73, "nonce:i64 object_index:u32 8x register_id:str")
+
+
 # ---------------------------------------------------------------------------
 # Tag discovery (MWMR write path, round 0)
 # ---------------------------------------------------------------------------
@@ -236,7 +264,7 @@ class LeaseProbeAck(Message):
     with the maximum history tag -- exactly what a
     :class:`TagQueryAck` reports).  ``holds`` is whether the object's
     history holds the *probed* tag with a complete write tuple, and
-    ``fenced`` whether the register is (hard- or epoch-)fenced here.  Any
+    ``fenced`` whether the register is fenced here.  Any
     top tag above the probed one, or any fence, refutes the lease.
     """
 
@@ -262,24 +290,18 @@ class LeaseProbeAck(Message):
 
 @dataclass(frozen=True, slots=True)
 class EpochFence(Message):
-    """Coordinator-to-object: refuse write rounds below ``epoch``.
+    """Coordinator-to-object: retire a register at this replica set.
 
     Installed during a shard handoff (:mod:`repro.service.reconfig`):
-    after a quorum acknowledges the fence, no write with tag epoch
-    ``< epoch`` can gather a quorum on this register, so the coordinator
-    may snapshot and replay the register elsewhere without losing a
-    completed write.  Fences only ever ratchet upward.
-
-    ``hard`` retires the register at this replica set outright: *every*
-    write round is refused, whatever its epoch.  Handoffs to another
-    replica set use hard fences -- concurrent writers can chain tag
-    discoveries past any finite epoch margin, but no epoch passes a
-    hard fence.  Epoch fences remain for same-store re-installs
-    (replica healing), where the coordinator's own replay must still
-    get through.
+    once a quorum acknowledges the fence, no write round on the register
+    can gather a quorum here, whatever its epoch, so the coordinator may
+    snapshot and replay the register elsewhere without losing a
+    completed write.  ``epoch`` only ratchets upward.  Only a frame with
+    ``hard`` set fences; one without it (a soft fence an earlier
+    version's heal logged) retires nothing.
 
     ``lift`` is the inverse control-plane verb: a later reconfiguration
-    handing the register *back* to this replica set clears both fences
+    handing the register *back* to this replica set clears the fence
     before replaying.  Clients are non-malicious in the model (only
     objects are Byzantine), so honouring a lift does not weaken the
     fault assumptions -- and write arbitration still ignores any stale
@@ -568,6 +590,8 @@ __all__ = [
     "PwAck",
     "W",
     "WriteAck",
+    "WriteBack",
+    "WriteBackAck",
     "TagQuery",
     "TagQueryAck",
     "LeaseProbe",

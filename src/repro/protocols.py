@@ -131,6 +131,11 @@ class StorageProtocol(ABC):
         operation.register_id = register_id
         return operation
 
+    def make_install_read(self, reader_state: Any) -> ClientOperation:
+        """Replica repair's READ: one naming the tuple it returned
+        (``install_frame``) and leaving no lease behind."""
+        return self.make_read(reader_state)
+
     # -- description --------------------------------------------------------------
     def client_states(self, config: SystemConfig) -> "RegisterClientStates":
         """A lazy per-register pool of this protocol's client states."""

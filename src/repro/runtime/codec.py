@@ -696,7 +696,7 @@ _BIN_KINDS: Dict[type, int] = {}
 #: Kind bytes below 64 are reserved for :mod:`repro.messages`.
 _VOCABULARY = ("repro.messages", "repro.baselines.abd.protocol",
                "repro.baselines.authenticated.protocol",
-               "repro.core.atomic.protocol", "repro.sim.server_centric")
+               "repro.sim.server_centric")
 
 
 def register_binary_codec(message_type: type) -> None:

@@ -222,6 +222,14 @@ class MuxClientHost:
         return {group.future for _, group in self._pending.values()}
 
     # -- admission ------------------------------------------------------------
+    def admissible(self, register_ids: Iterable[str]) -> List[str]:
+        """Those of ``register_ids`` one call could admit right now: idle
+        here, and no more than the pending cap leaves room for."""
+        idle = [rid for rid in register_ids if rid not in self._pending]
+        if self.max_pending is None:
+            return idle
+        return idle[:self.max_pending - len(self._pending)]
+
     def _admit(self, operation: ClientOperation, group: _VectorGroup,
                record: bool) -> None:
         if operation.client_id != self.pid:
@@ -314,9 +322,14 @@ class MuxClientHost:
 
     def _fail(self, group: _VectorGroup, error: BaseException) -> None:
         """Fail a whole call: the first failure propagates to the caller
-        and every unfinished member is withdrawn."""
+        and every unfinished member is withdrawn.  A write that already
+        chose its tag may have landed somewhere: its record learns it."""
         for operation in group.operations:
             self._withdraw(operation)
+            if (self.history is not None and not operation.done
+                    and operation.tag is not None):
+                self.history.record_tag(operation.operation_id,
+                                        operation.tag)
         if not group.future.done():
             group.future.set_exception(error)
 
@@ -466,14 +479,15 @@ class MuxClientHost:
         the operation out of the shared history: control-plane replays
         re-install values that already have history records, and
         recording the duplicate would distort the checkers' write
-        serialization.
+        serialization; replica repair's reads are control-plane too.
         """
         self.start()
         results = await self._run_group([operation], timeout, record)
         return results[0]
 
     async def run_many(self, operations: Iterable[ClientOperation],
-                       timeout: Optional[float] = None) -> List[Any]:
+                       timeout: Optional[float] = None,
+                       record: bool = True) -> List[Any]:
         """Run a batch of same-client operations, one per register.
 
         Every round of the batch leaves as one :class:`Batch` frame per
@@ -482,7 +496,8 @@ class MuxClientHost:
         and each member operation advances once per burst with its
         quorum conditions evaluated over the whole burst's evidence.  The
         first member failure (or the deadline) fails the batch and
-        withdraws every unfinished sibling.
+        withdraws every unfinished sibling.  ``record`` is as for
+        :meth:`run`.
         """
         self.start()
-        return await self._run_group(list(operations), timeout)
+        return await self._run_group(list(operations), timeout, record)

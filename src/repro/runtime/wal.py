@@ -8,8 +8,8 @@ state-mutating message a replica receives is appended to a write-ahead
 log before its effects can be acknowledged durably, and the log is
 periodically compacted into a snapshot file.  A restarted replica
 replays snapshot + WAL and rejoins with the state of a slow-but-correct
-replica -- then the ordinary ``heal_replica`` path re-installs current
-values on top, exactly as for an in-proc replacement.
+replica -- then the ordinary ``heal_replica`` path installs current
+tuples on top, exactly as for an in-proc replacement.
 
 Record layout (both the WAL and snapshot files)::
 
@@ -33,9 +33,9 @@ temp name and atomically renamed, so a crash mid-snapshot leaves the
 previous snapshot in place.
 
 Only *durable* messages are logged (:func:`is_durable`): ``Pw`` and
-``W`` rounds mutate register slots, ``EpochFence`` mutates fence state.
-Queries (``TagQuery``, ``ReadRequest``) are read-only and replayable
-from nothing.
+``W`` rounds and ``WriteBack`` installs mutate register slots,
+``EpochFence`` mutates fence state.  Queries (``TagQuery``,
+``ReadRequest``) are read-only and replayable from nothing.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ from typing import (Any, Awaitable, Dict, List, Optional, Sequence,
                     Tuple)
 
 from ..errors import TransportError
-from ..messages import Batch, EpochFence, Message, Pw, W
+from ..messages import Batch, EpochFence, Message, Pw, W, WriteBack
 from ..types import ProcessId, WriterTag
 
 _S_RECORD = struct.Struct("<II")  # payload length, crc32(payload)
 
 #: Message types whose receipt mutates object state and must therefore
 #: survive a restart.  Everything else is a query or an ack.
-DURABLE_TYPES = (Pw, W, EpochFence)
+DURABLE_TYPES = (Pw, W, WriteBack, EpochFence)
 
 #: ``"batch"`` fsync cadence: records between forced syncs.
 FSYNC_BATCH_INTERVAL = 64
@@ -257,15 +257,17 @@ class SnapshotStore:
 class _RegisterDigest:
     """The compacted durable state of one register slot.
 
-    Keeps the frame of the maximum-tag ``Pw`` and ``W`` seen (the write
-    rounds every lower-tagged round is superseded by) and the fence
-    ratchet (mirroring :meth:`~repro.automata.base.MultiRegisterObject.
-    _on_epoch_fence`: epochs only ratchet up, ``hard`` is sticky, and a
-    ``lift`` clears both).  Replaying these two-or-three frames leaves a
+    Keeps the frame of the maximum-tag ``Pw`` seen, of the maximum-tag
+    complete tuple (a ``W`` or a ``WriteBack`` install) and of the
+    highest fence (mirroring :meth:`~repro.automata.base.
+    MultiRegisterObject._on_epoch_fence`: the epoch only ratchets up, a
+    frame without the hard flag retires nothing, and a ``lift`` clears
+    it).  Write rounds logged while the register is fenced were refused
+    and are not kept.  Replaying these two-or-three frames leaves a
     fresh automaton holding the same top tag, top value and fence state
     as one that processed the whole log -- lower history entries are
-    dropped, which is the state of a correct-but-slow replica and
-    exactly what ``heal_replica`` is specified to top up.
+    dropped, which is the state of a correct-but-slow replica and what
+    ``heal_replica``'s install tops up.
 
     Frames are kept as the bytes they were logged as, so taking a
     snapshot encodes nothing.
@@ -276,34 +278,29 @@ class _RegisterDigest:
     def __init__(self):
         self.pw: Optional[Tuple[WriterTag, bytes]] = None
         self.w: Optional[Tuple[WriterTag, bytes]] = None
-        self.fence: Optional[Tuple[EpochFence, bytes]] = None
+        self.fence: Optional[Tuple[int, bytes]] = None
 
     def observe(self, sender: ProcessId, message: Message,
                 payload: Optional[bytes] = None) -> None:
         """``payload`` is ``pack_frame(sender, message)`` if the caller
         already holds it."""
+        if isinstance(message, (Pw, W)) and self.fence is not None:
+            return  # refused: the fence retired the register here
         if isinstance(message, Pw):
             if self.pw is None or message.tag >= self.pw[0]:
                 self.pw = (message.tag,
                            payload or pack_frame(sender, message))
-        elif isinstance(message, W):
+        elif isinstance(message, (W, WriteBack)):
             if self.w is None or message.tag >= self.w[0]:
                 self.w = (message.tag,
                           payload or pack_frame(sender, message))
         elif isinstance(message, EpochFence):
             if message.lift:
                 self.fence = None
-                return
-            current = self.fence[0] if self.fence is not None else None
-            epoch = max(message.epoch,
-                        current.epoch if current is not None else 0)
-            hard = message.hard or (current is not None and current.hard)
-            merged = EpochFence(nonce=message.nonce, epoch=epoch,
-                                register_id=message.register_id,
-                                hard=hard)
-            if payload is None or merged != message:
-                payload = pack_frame(sender, merged)
-            self.fence = (merged, payload)
+            elif message.hard and (self.fence is None
+                                   or message.epoch >= self.fence[0]):
+                self.fence = (message.epoch,
+                              payload or pack_frame(sender, message))
 
     def frames(self) -> List[bytes]:
         """Replay frames, write rounds before the fence.

@@ -83,21 +83,17 @@ FENCE_MARGIN = 2
 
 
 class FenceOperation(ClientOperation):
-    """Install an epoch fence on one register of one replica set.
+    """Retire one register at one replica set.
 
     Two rounds over the source objects: discover the maximum installed
-    tag from a quorum, then ratchet every object's fence to
-    ``max_epoch + FENCE_MARGIN`` and collect a quorum of fence acks.
-    Completes with the installed fence epoch.
-
-    ``hard=True`` additionally *retires* the register at this replica
-    set -- objects refuse every future write round, whatever its epoch.
-    Shard handoffs need this: concurrent multi-writer tag discoveries
+    tag from a quorum, then fence every object at epoch ``max_epoch +
+    FENCE_MARGIN`` and collect a quorum of fence acks.  Completes with
+    the installed fence epoch.  Fenced objects refuse every later write
+    round, whatever its epoch: concurrent multi-writer tag discoveries
     can chain past any finite margin (each writer observes the previous
-    one's in-flight tag and picks one higher), but no chain outruns a
-    hard fence.
+    one's in-flight tag and picks one higher), but none outruns a fence.
 
-    ``lift=True`` inverts the operation: one round clearing both fences
+    ``lift=True`` inverts the operation: one round clearing the fence
     at a quorum (no discovery), used when a reconfiguration hands a
     register back to a replica set that fenced it in an earlier
     handoff.  Completes with ``0``.
@@ -106,10 +102,9 @@ class FenceOperation(ClientOperation):
     kind = "FENCE"
 
     def __init__(self, config: SystemConfig, register_id: str,
-                 hard: bool = False, lift: bool = False):
+                 lift: bool = False):
         super().__init__(writer(CONTROL_WRITER_INDEX), register_id)
         self.config = config
-        self.hard = hard
         self.lift = lift
         self.phase = "discover"
         self.fence_epoch: Optional[int] = None
@@ -162,9 +157,33 @@ class FenceOperation(ClientOperation):
         self.begin_round()
         fence = EpochFence(nonce=self.operation_id,
                            epoch=self.fence_epoch,
-                           register_id=self.register_id,
-                           hard=self.hard)
+                           register_id=self.register_id, hard=True)
         return [(obj(i), fence) for i in range(self.config.num_objects)]
+
+
+class InstallOperation(ClientOperation):
+    """Send replica ``index`` the tuple a completed read returned; any
+    reply from it echoing this operation's id as nonce completes it (an
+    ack, or a fence report from a register retired there meanwhile).
+    ``frame`` is ``None`` when the read returned the initial value."""
+
+    kind = "INSTALL"
+
+    def __init__(self, read: ClientOperation, index: int):
+        super().__init__(writer(CONTROL_WRITER_INDEX), read.register_id)
+        self.config = read.config
+        self.replica = obj(index)
+        self.frame = read.install_frame(self.operation_id)
+
+    def start(self) -> Outgoing:
+        self.begin_round()
+        return [(self.replica, self.frame)]
+
+    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
+        if (sender == self.replica
+                and getattr(message, "nonce", None) == self.operation_id):
+            self.complete(None)
+        return []
 
 
 @dataclass
@@ -173,7 +192,8 @@ class ReconfigReport:
 
     operation: str                     # "add-shard" | "remove-shard" | ...
     shard_id: int
-    #: key -> (source shard id, target shard id) for every replayed key.
+    #: key -> (source shard id, target shard id) per replayed (or, for a
+    #: heal, installed) key.
     moved: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: key -> fence epoch installed at its source replica set.
     fence_epochs: Dict[str, int] = field(default_factory=dict)
@@ -194,9 +214,10 @@ class ReconfigCoordinator:
     lives in the store (ring, shard map, object automata).  Fence
     traffic runs over each shard store's shared control host, so any
     number of coordinators may exist without double-binding inboxes --
-    but do not run two reconfigurations *concurrently*.
+    but do not run two shard-set changes *concurrently*.  Heals may
+    overlap each other, application traffic and shard-set changes.
 
-    Failure semantics: if a reconfiguration raises midway (e.g. a
+    Failure semantics: if a shard-set change raises midway (e.g. a
     timeout), routing has *not* flipped and fences remain installed on
     the keys already processed -- writes to those keys keep failing
     fast with :class:`~repro.errors.FencedWriteError` until the
@@ -207,10 +228,11 @@ class ReconfigCoordinator:
     ``chaos_hook`` is the chaos harness's entry point: a callable (sync
     or async) invoked as ``hook(stage, key)`` at every handoff stage --
     ``"fenced"``, ``"snapshotted"``, ``"replayed"`` per key, ``"flip"``
-    once before routing flips.  The hook may crash replicas, delay, or
-    raise; the coordinator makes no attempt to survive hook exceptions
-    beyond its normal failure semantics above.  Production code leaves
-    it ``None`` (a no-op).
+    once before routing flips -- and at a heal's ``"snapshotted"`` per
+    key, after its read and before its install.  The hook may crash
+    replicas, delay, or raise; the coordinator makes no attempt to
+    survive hook exceptions beyond its normal failure semantics above.
+    Production code leaves it ``None`` (a no-op).
     """
 
     def __init__(self, kv: ShardedKVStore,
@@ -286,48 +308,44 @@ class ReconfigCoordinator:
     async def heal_replica(self, shard_id: int, index: int,
                            automaton: Optional[ObjectAutomaton] = None
                            ) -> ReconfigReport:
-        """Replace one (crashed) base object and re-install current values.
+        """Replace one (crashed) base object and install current tuples.
 
-        The swap inherits the replica's inbox (in-flight messages
-        survive) and lifts any crash on its pid; the resync then reads
-        every key the shard currently owns and rewrites it through the
-        normal write path, which lands the value -- under a fresh tag --
-        on the replacement as well.  Reads that lose yet another replica
-        later therefore still find a full quorum of informed objects.
-
-        Each rewritten key is fenced first, exactly like a handoff (with
-        source == target): without the fence, an application write
-        completing between the coordinator's snapshot and its re-install
-        would be buried under the re-install's fresher tag -- a silent
-        lost update.  Fenced application writes instead fail fast and
-        succeed on retry once the re-install (whose seeded epoch clears
-        the fence for all later writes) is through.
+        The swap inherits the replica's inbox and lifts any crash on its
+        pid.  Then classic vector reads of the keys the shard owns, each
+        of as many as reader 0 (which application gets share) admits at
+        the time, each followed by one vector frame from the control
+        host to the replaced replica only, carrying per written key
+        exactly the tuple the read returned, under its original tag; the
+        heal waits for that replica's acks.  Objects arbitrate an
+        install by tag like the writer's own message arriving late, so
+        it buries nothing: every write completed before the call is
+        installed, and a concurrent write may leave the replica one
+        write behind, like any slow replica.  Heals overlap puts, gets,
+        heals and shard-set changes.
         """
         kv = self.kv
         store = kv.shards[shard_id]
         store.replace_object(index, automaton)
         report = ReconfigReport(operation="heal-replica", shard_id=shard_id)
-        for key in store.registers():
-            if kv.ring.shard_for(key) != shard_id:
-                continue  # stale client state for a key moved elsewhere
-            value = await self._with_retry(lambda: store.read(key))
-            if isinstance(value, _Bottom):
-                # Never written: nothing to re-install, and fencing it
-                # would strand future writes below the fence.
-                report.skipped.append(key)
-                continue
-            fence_epoch = await self._fence(store, key)
-            report.fence_epochs[key] = fence_epoch
-            await self._maybe_hook("fenced", key)
-            # Authoritative snapshot *after* the fence: it captures every
-            # write that completed, and none can complete anymore.
-            value, pre_tag = await self._with_retry(
-                lambda: store.read_tagged(key))
-            await self._maybe_hook("snapshotted", key)
-            store.seed_writer_epoch(key, fence_epoch - 1)
-            await self._replay(store, key, value, pre_tag)
-            await self._maybe_hook("replayed", key)
-            report.moved[key] = (shard_id, shard_id)
+        # Stale client state may name keys moved elsewhere since.
+        keys = [key for key in store.registers()
+                if kv.ring.shard_for(key) == shard_id]
+        control = store.control_host()
+        while keys:
+            reads = await store.read_for_install(keys)
+            installs = []
+            for read in reads:
+                install = InstallOperation(read, index)
+                if install.frame is None:
+                    report.skipped.append(read.register_id)  # no tuple
+                    continue
+                await self._maybe_hook("snapshotted", read.register_id)
+                installs.append(install)
+                report.moved[read.register_id] = (shard_id, shard_id)
+            await self._with_retry(store, lambda: control.run_many(
+                installs, store.default_timeout))
+            done = {read.register_id for read in reads}
+            keys = [key for key in keys if key not in done]
         return report
 
     # -- handoff machinery --------------------------------------------------
@@ -361,19 +379,18 @@ class ReconfigCoordinator:
                 src, dst = moved_range.old_shard, moved_range.new_shard
                 source = kv.shards[src]
                 target = shards_after[dst]
-                # Hard fence: the register is *retired* at the source --
-                # an epoch-only fence could be outrun by chained
-                # concurrent tag discoveries, silently losing a write.
-                fence_epoch = await self._fence(source, key, hard=True)
+                # The fence *retires* the register at the source: no
+                # write completes there from now on.
+                fence_epoch = await self._fence(source, key)
                 report.fence_epochs[key] = fence_epoch
                 await self._maybe_hook("fenced", key)
                 # The target may have fenced this key itself when an
                 # earlier reconfiguration moved it *away*; lift that
                 # fence or the hand-back replay (and all later writes)
                 # would be refused forever.
-                await self._lift(target, key)
+                await self._fence(target, key, lift=True)
                 value, pre_tag = await self._with_retry(
-                    lambda: source.read_tagged(key))
+                    source, lambda: source.read_tagged(key))
                 await self._maybe_hook("snapshotted", key)
                 if isinstance(value, _Bottom):
                     # Fenced while unwritten: it can never gain a value
@@ -399,40 +416,37 @@ class ReconfigCoordinator:
         since the value is identical.
         """
         _, new_tag = await self._with_retry(
-            lambda: target.write_tagged(key, value, record=False))
+            target, lambda: target.write_tagged(key, value, record=False))
         if (target.history is not None and new_tag is not None
                 and pre_tag is not None):
             target.history.record_republication(key, new_tag, pre_tag)
 
     async def _fence(self, store: MultiRegisterStore, key: str,
-                     hard: bool = False) -> int:
-        operation = FenceOperation(store.config, key, hard=hard)
+                     lift: bool = False) -> int:
+        operation = FenceOperation(store.config, key, lift=lift)
         return await self._with_retry(
-            lambda: store.control_host().run(operation,
-                                             store.default_timeout))
-
-    async def _lift(self, store: MultiRegisterStore, key: str) -> None:
-        operation = FenceOperation(store.config, key, lift=True)
-        await self._with_retry(
-            lambda: store.control_host().run(operation,
-                                             store.default_timeout))
+            store, lambda: store.control_host().run(operation,
+                                                    store.default_timeout))
 
     @staticmethod
-    async def _with_retry(run):
+    async def _with_retry(store: MultiRegisterStore, run):
         """Retry an operation that lost a transient admission race.
 
         One client host drives at most one operation per register
         (:class:`~repro.errors.BusyRegisterError`) and may cap its
         concurrently pending registers
         (:class:`~repro.errors.BackpressureError`); the coordinator
-        competes with application traffic like any client, so it yields
-        and retries instead of aborting the migration over contention.
+        competes with application traffic like any client, so it
+        retries instead of aborting over contention -- each time after
+        one of ``store``'s calls in flight (the blocker among them)
+        finishes, so waiting behind a stuck call costs no CPU.
         """
         while True:
             try:
                 return await run()
             except (BusyRegisterError, BackpressureError):
-                await asyncio.sleep(0)
+                await asyncio.wait(store.in_flight(),
+                                   return_when=asyncio.FIRST_COMPLETED)
 
 
 __all__ = [

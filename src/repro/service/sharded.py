@@ -167,14 +167,15 @@ class ShardedKVStore:
         The restarted child already replayed its snapshot + WAL, so it
         rejoins *almost* current -- missing only what was acked while it
         was dead.  ``heal_replica`` closes that gap with the paper's own
-        machinery (fence, snapshot reads, replay at higher tags), after
-        which the replica counts toward quorums without any special
-        casing.  *Expected* failures -- a heal losing a race with
-        another kill, a fenced or timed-out round, a dropped socket --
-        are logged and swallowed: they leave the replica where WAL
-        recovery put it, a slow replica, which the protocols tolerate
-        by design.  Programming errors propagate instead (the
-        supervisor's monitor logs them and keeps sweeping).
+        machinery (a classic read, then the returned tuples installed at
+        this replica under their original tags), after which the
+        replica counts toward quorums without any special casing.
+        *Expected* failures -- a heal losing a race with another kill, a
+        timed-out round, a dropped socket -- are logged and swallowed:
+        they leave the replica where WAL recovery put it, a slow
+        replica, which the protocols tolerate by design.  Programming
+        errors propagate instead (the supervisor's monitor logs them and
+        keeps sweeping).
         """
         store = self.shards.get(shard_id)
         if store is None or not self._started:

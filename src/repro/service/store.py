@@ -22,9 +22,10 @@ envelope per object.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
-from ..automata.base import ObjectAutomaton
+from ..automata.base import ClientOperation, ObjectAutomaton
 from ..config import SystemConfig
 from ..errors import ConfigurationError, TransportError
 from ..protocols import StorageProtocol
@@ -150,6 +151,13 @@ class MultiRegisterStore:
         if self._control_host is not None:
             self._control_host.stop()
 
+    def in_flight(self) -> Set["asyncio.Future[List[Any]]"]:
+        """The futures of every call in flight on this store's hosts."""
+        hosts = list(self._writer_hosts.values()) + self._reader_hosts
+        if self._control_host is not None:
+            hosts.append(self._control_host)
+        return set().union(*(host.in_flight() for host in hosts))
+
     async def quiesce(self) -> None:
         """Wait until no client host has an operation in flight.
 
@@ -160,11 +168,8 @@ class MultiRegisterStore:
         on the calls' own futures, so a drain behind an operation that
         can only time out costs no CPU until the deadline fails it.
         """
-        hosts = list(self._writer_hosts.values()) + self._reader_hosts
-        if self._control_host is not None:
-            hosts.append(self._control_host)
         while True:
-            calls = set().union(*(host.in_flight() for host in hosts))
+            calls = self.in_flight()
             if not calls:
                 return
             await asyncio.wait(calls)
@@ -395,7 +400,7 @@ class MultiRegisterStore:
         and receives network traffic again even if the pid had been
         crashed.  The new replica is *stale* until it observes writes;
         :meth:`~repro.service.reconfig.ReconfigCoordinator.heal_replica`
-        re-installs current values on top of this swap.
+        installs current tuples on top of this swap.
         """
         if automaton is None:
             automaton = self.protocol.make_objects(self.config)[index]
@@ -405,6 +410,29 @@ class MultiRegisterStore:
 
     def object_automaton(self, index: int) -> ObjectAutomaton:
         return self._object_hosts[index].automaton
+
+    async def read_for_install(self, register_ids: List[str]
+                               ) -> List[ClientOperation]:
+        """Replica repair's unrecorded vector READ on reader 0 of those of
+        ``register_ids`` it can admit now (idle there, and at most half
+        its pending cap), at least one: until then it waits for calls in
+        flight.  Returns the completed operations, each naming its tuple.
+        """
+        self._require_started()
+        host = self._reader_hosts[0]
+        while not (admitted := host.admissible(register_ids)):
+            await asyncio.wait(host.in_flight(),
+                               return_when=asyncio.FIRST_COMPLETED)
+        if host.max_pending is not None:
+            admitted = admitted[:max(1, host.max_pending // 2)]
+        operations = []
+        for register_id in admitted:
+            operation = self.protocol.make_install_read(
+                self._states.reader(register_id))
+            operation.register_id = register_id
+            operations.append(operation)
+        await host.run_many(operations, self.default_timeout, record=False)
+        return operations
 
     # -- reconfiguration support --------------------------------------------
     def seed_writer_epoch(self, register_id: str, epoch: int,

@@ -307,7 +307,8 @@ def check_mwmr_regularity(history: History) -> CheckResult:
     """
     result = CheckResult("mwmr-regularity")
     ordered = history.writes_by_tag()
-    by_tag = {w.tag: w for w in ordered}
+    # A pending tagged write (failed after choosing its tag) may be seen.
+    by_tag = {w.tag: w for w in history.writes() if w.tag is not None}
     _check_mwmr_write_order(ordered, result, history)
     for read in history.reads(complete_only=True):
         result.checked_reads += 1
@@ -376,7 +377,7 @@ def check_fast_read_freshness(history: History) -> CheckResult:
     for register in history.registers():
         sub = history.for_register(register)
         ordered = sub.writes_by_tag()
-        by_tag = {w.tag: w for w in ordered}
+        by_tag = {w.tag: w for w in sub.writes() if w.tag is not None}
         for read in sub.reads(complete_only=True):
             if not read.fast:
                 continue
@@ -480,9 +481,10 @@ def check_snapshot_consistency(history: History) -> CheckResult:
                         f"write with tag {tag!r} installed "
                         f"{source.argument!r}")
             for w in writes:
-                if w.tag is None:
-                    # In-flight or untagged: no completion event to order
-                    # against (recorders set the tag at completion).
+                if w.tag is None or w.completed_seq is None:
+                    # Untagged or pending: no completion event to order
+                    # against.  A pending write tagged when it failed only
+                    # makes its tag valid to observe (above).
                     continue
                 if w.tag <= tag:
                     reflected.append(w)

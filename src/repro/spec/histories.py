@@ -112,7 +112,7 @@ class History:
         self._snapshots: List[SnapshotRecord] = []
         self._snapshot_count = 0
         #: (register, new tag) -> original tag, for control-plane
-        #: *republications* (shard-handoff replays, replica re-installs):
+        #: *republications* (shard-handoff replays):
         #: the same value re-installed under a fresher tag.  Checkers
         #: normalize observed tags through this map, so a republication
         #: is invisible to the specifications -- exactly as a write-back
@@ -181,6 +181,14 @@ class History:
         record.tag = tag
         record.fast = fast
         return record
+
+    def record_tag(self, operation_id: int, tag: WriterTag) -> None:
+        """Tag a pending write that failed after choosing ``tag``: the
+        MWMR checkers then count it as possibly effective."""
+        record = self._records.get(operation_id)
+        if (record is not None and record.kind == WRITE
+                and not record.complete):
+            record.tag = tag
 
     # -- snapshot recording -------------------------------------------------
     def mark(self) -> int:
@@ -309,12 +317,6 @@ class History:
         tagged = [w for w in self.writes()
                   if w.tag is not None and w.complete]
         return sorted(tagged, key=lambda w: w.tag)
-
-    def write_with_tag(self, tag: WriterTag) -> Optional[OperationRecord]:
-        for w in self.writes():
-            if w.tag == tag:
-                return w
-        return None
 
     def last_preceding_write_by_tag(self, read: OperationRecord
                                     ) -> Optional[OperationRecord]:

@@ -141,10 +141,6 @@ class ProcessId:
         return self.role == ROLE_OBJECT
 
     @property
-    def is_reader(self) -> bool:
-        return self.role == ROLE_READER
-
-    @property
     def is_writer(self) -> bool:
         return self.role == ROLE_WRITER
 

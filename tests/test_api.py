@@ -38,7 +38,7 @@ def make_cluster(config=CONFIG, **kwargs):
 async def hard_fence(cluster, key):
     """Retire ``key`` at its current shard group, as a handoff would."""
     store = cluster.kv.store_for(key)
-    operation = FenceOperation(store.config, key, hard=True)
+    operation = FenceOperation(store.config, key)
     return await store.control_host().run(operation, 5.0)
 
 

@@ -56,15 +56,18 @@ class TestAtomicObject:
         assert len(replies) == 1  # still acked
         assert object_.history[1, 0].w == genuine
 
-    def test_write_back_from_non_reader_ignored(self, config):
+    def test_write_back_from_non_client_ignored(self, config):
+        """Clients are trusted (the control plane installs from a writer
+        identity); another object's write-back is not."""
         object_ = AtomicObject(0, config)
         c = make_tuple(config, 3)
-        assert object_.on_message(WRITER,
-                                  WriteBack(c=c, nonce=1,
-                                            reader_index=0)) == []
         assert object_.on_message(obj(1),
                                   WriteBack(c=c, nonce=1,
                                             reader_index=0)) == []
+        [(_, ack)] = object_.on_message(WRITER,
+                                        WriteBack(c=c, nonce=1,
+                                                  reader_index=0))
+        assert isinstance(ack, WriteBackAck)
 
 
 class TestAtomicReads:

@@ -183,7 +183,7 @@ class TestLeaseProbeReplies:
 
     def test_fenced_register_reports_fence(self, config):
         automaton = RegularObject(0, config)
-        automaton.hard_fences.add("k")
+        automaton.fences["k"] = 1
         probe = LeaseProbe(nonce=1, epoch=0, reader_index=0,
                            register_id="k")
         (_, ack), = automaton.on_message("reader-0", probe)
@@ -277,7 +277,7 @@ class TestFastReadPath:
             async with fast_store(config) as store:
                 await store.write("k", "v1")   # arms the lease
                 for i in range(config.num_objects):
-                    store.object_automaton(i).hard_fences.add("k")
+                    store.object_automaton(i).fences["k"] = 1
                 value = await store.read("k")
                 return value, store.stats()
 
@@ -418,7 +418,7 @@ class TestShardedLeases:
                 await kv.get("key:0")
                 store = kv.store_for("key:0")
                 for i in range(config.num_objects):
-                    store.object_automaton(i).hard_fences.add("key:0")
+                    store.object_automaton(i).fences["key:0"] = 1
                 with pytest.raises(FencedWriteError):
                     await kv.put("key:0", "v2")
                 return store.stats()
@@ -434,7 +434,7 @@ class TestShardedLeases:
                 await kv.put("key:0", "v")
                 store = kv.store_for("key:0")
                 for i in range(config.num_objects):
-                    store.object_automaton(i).hard_fences.add("key:0")
+                    store.object_automaton(i).fences["key:0"] = 1
                 with pytest.raises(FencedWriteError):
                     await kv.put("key:0", "v2")
                 held = self._held(kv)

@@ -354,6 +354,46 @@ class TestMultiWriterService:
         assert value in {"v0", "v1", "v2"}
         check_regularity(history.for_register("shared")).assert_ok()
 
+    def test_timed_out_write_keeps_its_tag_on_record(self):
+        """A write that times out after its W reached one replica is a
+        pending, *tagged* record: a later read returning its value is
+        not "a tag no write installed"."""
+        from repro.core.atomic import AtomicStorageProtocol
+        from repro.messages import unbatch
+
+        config = SystemConfig.optimal(t=1, b=1, num_writers=2)
+
+        async def scenario():
+            async with MultiRegisterStore(AtomicStorageProtocol(), config,
+                                          record_history=True) as store:
+                await store.write("k", "v1")
+                wedged = [store._object_hosts[i] for i in (1, 2, 3)]
+                send = store.network.send
+
+                def wedge_on_w(sender, receiver, payload):
+                    # The W round parks in the inboxes of s2..s4.
+                    if any(isinstance(part, W)
+                           for part in unbatch(payload)):
+                        for host in wedged:
+                            host.stop()
+                    send(sender, receiver, payload)
+
+                store.network.send = wedge_on_w
+                with pytest.raises(asyncio.TimeoutError):
+                    await store.write("k", "v2", writer_index=1,
+                                      timeout=0.05)
+                store.network.send = send
+                for host in wedged:
+                    host.start()  # the parked W rounds land now
+                assert await store.read("k") == "v2"
+                return store.history
+
+        history = run(scenario())
+        result = check_mwmr_atomicity(history)
+        assert result.ok, result.violations
+        [pending] = [w for w in history.writes() if not w.complete]
+        assert pending.tag is not None
+
     def test_writer_index_out_of_range_rejected(self):
         config = SystemConfig.optimal(t=1, b=1, num_writers=2)
 

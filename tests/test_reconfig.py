@@ -1,17 +1,22 @@
 """Live reconfiguration: epoch fences, shard handoff, replica repair."""
 
 import asyncio
+import time
 
 import pytest
 
+from repro.baselines import (AbdAtomicProtocol, AuthenticatedProtocol,
+                             PassiveReaderProtocol)
 from repro.config import SystemConfig
+from repro.core.atomic import AtomicStorageProtocol
 from repro.core.regular import CachedRegularStorageProtocol
 from repro.core.regular.object import RegularObject
 from repro.core.safe import SafeStorageProtocol
 from repro.core.safe.object import SafeObject
-from repro.errors import (BusyRegisterError, ConfigurationError,
-                          FencedWriteError)
-from repro.messages import EpochFence, EpochFenceAck, Pw, W, WriteFenced
+from repro.errors import (BackpressureError, BusyRegisterError,
+                          ConfigurationError, FencedWriteError)
+from repro.messages import (EpochFence, EpochFenceAck, Pw, TagQuery, W,
+                            WriteFenced, unbatch)
 from repro.service import (HashRing, MultiRegisterStore,
                            ReconfigCoordinator, ShardedKVStore, owned_diff)
 from repro.service.hashing import key_position
@@ -46,7 +51,8 @@ class TestEpochFenceAutomata:
     def test_fence_rejects_stale_write_rounds(self, config, object_cls):
         automaton = object_cls(0, config)
         [(_, ack)] = automaton.on_message(
-            writer(0), EpochFence(nonce=1, epoch=5, register_id="x"))
+            writer(0), EpochFence(nonce=1, epoch=5, register_id="x",
+                                  hard=True))
         assert isinstance(ack, EpochFenceAck) and ack.epoch == 5
         # A write round below the fence is refused with a report...
         [(_, nack)] = automaton.on_message(writer(0), self._pw(4))
@@ -54,14 +60,15 @@ class TestEpochFenceAutomata:
         assert nack.fence_epoch == 5 and nack.epoch == 4
         # ...and was not applied.
         assert "x" not in automaton.slots or automaton._slot("x").ts == 0
-        # At or above the fence, writes proceed normally.
+        # Every fence retires the register: no epoch passes it.
         [(_, reply)] = automaton.on_message(writer(0), self._pw(5))
-        assert not isinstance(reply, WriteFenced)
+        assert isinstance(reply, WriteFenced)
 
     def test_fence_is_per_register(self, config):
         automaton = RegularObject(0, config)
         automaton.on_message(writer(0),
-                             EpochFence(nonce=1, epoch=9, register_id="x"))
+                             EpochFence(nonce=1, epoch=9, register_id="x",
+                                        hard=True))
         [(_, reply)] = automaton.on_message(
             writer(0), self._pw(1, register_id="y"))
         assert not isinstance(reply, WriteFenced)
@@ -69,15 +76,27 @@ class TestEpochFenceAutomata:
     def test_fence_only_ratchets_upward(self, config):
         automaton = SafeObject(0, config)
         automaton.on_message(writer(0),
-                             EpochFence(nonce=1, epoch=7, register_id="x"))
+                             EpochFence(nonce=1, epoch=7, register_id="x",
+                                        hard=True))
         [(_, ack)] = automaton.on_message(
-            writer(0), EpochFence(nonce=2, epoch=3, register_id="x"))
+            writer(0), EpochFence(nonce=2, epoch=3, register_id="x",
+                                  hard=True))
         assert ack.epoch == 7  # lowering a fence is refused
+
+    def test_frame_without_hard_flag_retires_nothing(self, config):
+        """Soft fences (logged by earlier versions' heals) are inert."""
+        automaton = RegularObject(0, config)
+        automaton.on_message(writer(0),
+                             EpochFence(nonce=1, epoch=9, register_id="x"))
+        assert not automaton.fences
+        [(_, reply)] = automaton.on_message(writer(0), self._pw(1))
+        assert not isinstance(reply, WriteFenced)
 
     def test_w_round_fenced_too(self, config):
         automaton = SafeObject(0, config)
         automaton.on_message(writer(0),
-                             EpochFence(nonce=1, epoch=5, register_id="x"))
+                             EpochFence(nonce=1, epoch=5, register_id="x",
+                                        hard=True))
         w = W(ts=2, pw=TimestampValue(2, "v"),
               w=initial_write_tuple(4, 2), register_id="x")
         [(_, nack)] = automaton.on_message(writer(0), w)
@@ -178,8 +197,9 @@ class TestFenceOperation:
                     await store.write("k", "v3")
                 # Reads are never fenced: the last value stays readable.
                 assert await store.read("k") == "v2"
-                # Writes at or above the fence proceed (handoff replay).
-                store.seed_writer_epoch("k", fence - 1)
+                # Only a lift (a hand-back) reopens the register.
+                await store.control_host().run(
+                    FenceOperation(config, "k", lift=True), 5.0)
                 await store.write("k", "v4")
                 return await store.read("k")
 
@@ -409,6 +429,145 @@ class TestHealReplica:
 
         run(scenario())
 
+    @pytest.mark.parametrize("factory, b", [
+        (SafeStorageProtocol, 1), (CachedRegularStorageProtocol, 1),
+        (AtomicStorageProtocol, 1), (AbdAtomicProtocol, 0),
+        (AuthenticatedProtocol, 1), (PassiveReaderProtocol, 1)])
+    def test_heal_installs_the_original_tag(self, factory, b):
+        async def scenario():
+            kv = ShardedKVStore(factory, SystemConfig.optimal(t=1, b=b),
+                                num_shards=1)
+            async with kv:
+                await kv.put("k", "v1")
+                kv.shards[0].crash_object(0)
+                await kv.put("k", "v2")
+                await ReconfigCoordinator(kv).heal_replica(0, 0)
+                healed = kv.shards[0].object_automaton(0)
+                [(_, ack)] = healed.on_message(
+                    writer(0), TagQuery(nonce=1, register_id="k"))
+                return ack.tag
+
+        assert run(scenario()) == WriterTag(2, 0)
+
+    def test_heal_sleeps_behind_a_stuck_read(self, config):
+        """A heal whose read finds its register busy behind a read no
+        quorum can finish awaits that call; it does not spin the loop
+        until the deadline."""
+        async def scenario():
+            kv = ShardedKVStore(CachedRegularStorageProtocol, config,
+                                num_shards=1)
+            async with kv:
+                await kv.put("k", "v1")
+                store = kv.shards[0]
+                for index in range(config.t + 1):
+                    store.crash_object(index)
+                stuck = asyncio.ensure_future(store.read("k", timeout=0.2))
+                await asyncio.sleep(0)
+                cpu = time.process_time()
+                report = await ReconfigCoordinator(kv).heal_replica(0, 0)
+                spent = time.process_time() - cpu
+                with pytest.raises(asyncio.TimeoutError):
+                    await stuck
+                assert set(report.moved) == {"k"}
+                return spent
+
+        assert run(scenario()) < 0.05
+
+    def test_install_read_grants_no_lease(self):
+        """A write whose W reached only b+1 replicas is what a heal's
+        read may return; a lease on it would let a fast read return a
+        value a later classic atomic read does not."""
+        async def scenario():
+            kv = ShardedKVStore(AtomicStorageProtocol,
+                                SystemConfig.optimal(t=1, b=1),
+                                num_shards=1, fast_reads=True)
+            async with kv:
+                await kv.put("k", "v1")
+                assert await kv.get("k") == "v1"
+                store = kv.shards[0]
+                send = store.network.send
+
+                def w_reaches_two(sender, receiver, payload):
+                    if receiver in (obj(2), obj(3)) and any(
+                            isinstance(part, W)
+                            for part in unbatch(payload)):
+                        return
+                    send(sender, receiver, payload)
+
+                store.network.send = w_reaches_two
+                with pytest.raises(asyncio.TimeoutError):
+                    await store.write("k", "v2", timeout=0.05)
+                store.network.send = send
+                await ReconfigCoordinator(kv).heal_replica(0, 3)
+                # The heal's read returned the partial write: installed.
+                assert WriterTag(2, 0) in \
+                    store.object_automaton(3).slots["k"].history
+                lease = store._states.leases.leases.get("k")
+                return None if lease is None else lease.tag
+
+        assert run(scenario()) != WriterTag(2, 0)
+
+    def test_heal_progresses_under_gets_at_the_pending_cap(self, config):
+        """Application gets keep reader 0 busy up to just below its
+        pending cap; the heal reads what it can admit meanwhile."""
+        async def scenario():
+            kv = ShardedKVStore(CachedRegularStorageProtocol, config,
+                                num_shards=1, max_pending_per_host=4)
+            async with kv:
+                keys = [f"k{n}" for n in range(32)]
+                for key in keys:
+                    await kv.put(key, key)
+                kv.shards[0].crash_object(0)
+                done = asyncio.Event()
+
+                async def gets(offset):
+                    n = offset
+                    while not done.is_set():
+                        try:
+                            assert await kv.get(keys[n % 32]) == keys[n % 32]
+                        except (BusyRegisterError, BackpressureError):
+                            await asyncio.sleep(0)
+                        n += 3
+
+                loaders = [asyncio.create_task(gets(i)) for i in range(3)]
+                await asyncio.sleep(0)
+                report = await asyncio.wait_for(
+                    ReconfigCoordinator(kv).heal_replica(0, 0), 10)
+                done.set()
+                await asyncio.gather(*loaders)
+                return set(report.moved), set(keys)
+
+        moved, keys = run(scenario())
+        assert moved == keys
+
+    def test_heal_reads_beside_a_stuck_call_at_the_pending_cap(self,
+                                                                config):
+        """One stuck call holds reader 0's only other pending slot; the
+        heal's reads fit in the room left instead of waiting it out."""
+        async def scenario():
+            kv = ShardedKVStore(CachedRegularStorageProtocol, config,
+                                num_shards=2, seed=5,
+                                max_pending_per_host=2)
+            async with kv:
+                keys = [f"k:{n}" for n in range(12)]
+                for key in keys:
+                    await kv.put(key, key)
+                store = kv.shards[0]
+                foreign = next(k for k in keys if kv.shard_for(k) == 1)
+                for index in range(config.t + 1):
+                    store.crash_object(index)
+                stuck = asyncio.ensure_future(store.read(foreign,
+                                                         timeout=30))
+                await asyncio.sleep(0)
+                report = await asyncio.wait_for(
+                    ReconfigCoordinator(kv).heal_replica(0, 0), 5)
+                stuck.cancel()
+                return set(report.moved), {
+                    k for k in keys if kv.shard_for(k) == 0}
+
+        moved, owned = run(scenario())
+        assert moved == owned
+
     def test_replace_object_inherits_inbox(self, config):
         async def scenario():
             async with MultiRegisterStore(CachedRegularStorageProtocol(),
@@ -562,6 +721,105 @@ class TestHealUnderLoad:
         run(scenario())
 
 
+def _parking_hook(at_key):
+    """A chaos hook parking its heal at ``("snapshotted", at_key)``."""
+    parked, resume = asyncio.Event(), asyncio.Event()
+
+    async def hook(stage, key):
+        if stage == "snapshotted" and key == at_key:
+            parked.set()
+            await resume.wait()
+
+    return hook, parked, resume
+
+
+async def _parked_heal(kv, replica, key):
+    """Start healing ``replica`` of shard 0; return once it is parked at
+    ``key``'s snapshot, with the task and the event that resumes it."""
+    hook, parked, resume = _parking_hook(key)
+    task = asyncio.create_task(
+        ReconfigCoordinator(kv, chaos_hook=hook).heal_replica(0, replica))
+    await parked.wait()
+    return task, resume
+
+
+class TestOverlappingHeals:
+    """Heals overlapping each other, puts and shard-set changes: staged
+    by the ``"snapshotted"`` hook, no sleeps."""
+
+    MWMR = SystemConfig.optimal(t=1, b=1, num_writers=2)
+
+    async def _seeded(self, kv, keys=10):
+        for n in range(keys):
+            await kv.put(f"k{n}", n)
+
+    def _assert_atomic(self, kv):
+        result = check_per_register(kv.history, check_mwmr_atomicity)
+        assert result.ok, result.violations[:3]
+
+    def test_acked_put_survives_a_parked_heal(self):
+        async def scenario():
+            kv = ShardedKVStore(AtomicStorageProtocol, self.MWMR,
+                                num_shards=1, record_history=True)
+            async with kv:
+                await self._seeded(kv)
+                heal_a, resume_a = await _parked_heal(kv, 0, "k5")
+                await ReconfigCoordinator(kv).heal_replica(0, 1)
+                await kv.put("k5", 105, writer_index=1, retries=5)
+                resume_a.set()
+                await heal_a
+                assert await kv.get("k5") == 105
+                self._assert_atomic(kv)
+
+        run(scenario())
+
+    def test_parked_heal_is_not_aborted_by_a_later_heal(self):
+        async def scenario():
+            kv = ShardedKVStore(AtomicStorageProtocol, self.MWMR,
+                                num_shards=1, record_history=True)
+            async with kv:
+                await self._seeded(kv)
+                heal_a, resume_a = await _parked_heal(kv, 0, "k5")
+                await ReconfigCoordinator(kv).heal_replica(0, 1)
+                await kv.put("k5", 105, writer_index=1, retries=5)
+                heal_c, resume_c = await _parked_heal(kv, 2, "k5")
+                resume_a.set()
+                await heal_a  # no FencedWriteError escapes
+                resume_c.set()
+                await heal_c
+                assert await kv.get("k5") == 105
+                self._assert_atomic(kv)
+
+        run(scenario())
+
+    def test_heal_parked_on_a_moving_key_resyncs_every_later_key(self):
+        async def scenario():
+            kv = ShardedKVStore(AtomicStorageProtocol, self.MWMR,
+                                num_shards=1, record_history=True)
+            async with kv:
+                await self._seeded(kv, keys=20)
+                preview = kv.ring.add_shard()
+                keys = kv.shards[0].registers()
+                moving = next(k for k in keys
+                              if preview.shard_for(k) != 0)
+                later = [k for k in keys[keys.index(moving) + 1:]
+                         if preview.shard_for(k) == 0]
+                assert later
+                heal, resume = await _parked_heal(kv, 0, moving)
+                await ReconfigCoordinator(kv).add_shard()
+                resume.set()
+                await heal  # no FencedWriteError escapes
+                healed = kv.shards[0].object_automaton(0)
+                for key in later:
+                    history = healed.slots[key].history
+                    assert any(entry.w is not None
+                               and entry.w.tsval.value == int(key[1:])
+                               for entry in history.values()), key
+                self._assert_atomic(kv)
+
+        run(scenario())
+
+
 class TestDrainQuiesces:
     def test_reads_in_flight_at_flip_complete(self, config):
         async def scenario():
@@ -621,7 +879,7 @@ class TestHardFence:
                 report = await ReconfigCoordinator(kv).add_shard()
                 moved_key = next(iter(report.moved))
                 source = kv.shards[old_ring.shard_for(moved_key)]
-                fenced = source.object_automaton(0).hard_fences
+                fenced = source.object_automaton(0).fences
                 assert moved_key in fenced
                 # Even an epoch far above the fence cannot write the
                 # retired register at the source.
@@ -630,24 +888,6 @@ class TestHardFence:
                     await source.write(moved_key, "chained-past-margin")
 
         run(scenario())
-
-    def test_heal_fence_stays_soft(self, config):
-        """heal_replica re-installs through the same store, so its fence
-        must admit the seeded replay (and all later writes)."""
-        async def scenario():
-            kv = ShardedKVStore(CachedRegularStorageProtocol, config,
-                                num_shards=2, seed=5)
-            async with kv:
-                await kv.put("h", "v1")
-                sid = kv.shard_for("h")
-                kv.shards[sid].crash_object(0)
-                await ReconfigCoordinator(kv).heal_replica(sid, 0)
-                assert "h" not in \
-                    kv.shards[sid].object_automaton(1).hard_fences
-                await kv.put("h", "v2")  # writes keep working post-heal
-                return await kv.get("h")
-
-        assert run(scenario()) == "v2"
 
 
 class TestRetiredIdsNotReused:
@@ -702,12 +942,11 @@ class TestHandBack:
         automaton = RegularObject(0, config)
         automaton.on_message(writer(0), EpochFence(
             nonce=1, epoch=5, register_id="x", hard=True))
-        assert automaton._fence_rejects("x", 10**9)
+        assert automaton._fence_rejects("x")
         automaton.on_message(writer(0), EpochFence(
             nonce=2, epoch=0, register_id="x", lift=True))
-        assert not automaton._fence_rejects("x", 1)
+        assert not automaton._fence_rejects("x")
         assert "x" not in automaton.fences
-        assert "x" not in automaton.hard_fences
 
 
 class TestReconfigOnBaselines:

@@ -504,7 +504,7 @@ class TestBatchFailurePropagation:
             async with kv:
                 await kv.put("k", "v0")
                 store = kv.store_for("k")
-                fence = FenceOperation(store.config, "k", hard=True)
+                fence = FenceOperation(store.config, "k")
                 await store.control_host().run(fence, 5.0)
                 with pytest.raises(FencedWriteError):
                     await kv.put("k", "v1")  # retries=0: fail fast
@@ -529,7 +529,7 @@ class TestBatchFailurePropagation:
             async with kv:
                 await kv.put("k", "v0")
                 store = kv.store_for("k")
-                fence = FenceOperation(store.config, "k", hard=True)
+                fence = FenceOperation(store.config, "k")
                 await store.control_host().run(fence, 5.0)
                 with pytest.raises(FencedWriteError):
                     await kv.put("k", "v1", retries=3)

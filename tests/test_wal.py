@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from repro.automata.base import resolve_batch_handler
 from repro.config import SystemConfig
 from repro.core.regular import RegularStorageProtocol
-from repro.messages import Batch, EpochFence, Pw, ReadRequest, TagQuery, W
+from repro.messages import (Batch, EpochFence, Pw, ReadRequest, TagQuery, W,
+                            WriteBack)
 from repro.runtime.tcp import TcpObjectServer, pack_addressed
 from repro.runtime.wal import (DURABLE_TYPES, FrameCompactor,
                                ReplicaDurability, SnapshotStore,
@@ -62,13 +63,17 @@ def _wtuple(ts, wid, value=None):
 @st.composite
 def durable_messages(draw):
     register_id = draw(registers)
-    shape = draw(st.integers(min_value=0, max_value=2))
+    shape = draw(st.integers(min_value=0, max_value=3))
     if shape == 2:
         return EpochFence(nonce=draw(st.integers(0, 2**20)),
                           epoch=draw(epochs), register_id=register_id,
                           hard=draw(st.booleans()),
                           lift=draw(st.booleans()))
     ts, wid, value = draw(epochs), draw(wids), draw(values)
+    if shape == 3:
+        return WriteBack(c=_wtuple(ts, wid, value),
+                         nonce=draw(st.integers(0, 2**20)),
+                         reader_index=0, register_id=register_id)
     cls = Pw if shape == 0 else W
     return cls(ts=ts, pw=_tsval(ts, wid, value),
                w=_wtuple(ts - 1 or 1, wid, value),
@@ -172,6 +177,8 @@ class TestFrameCodec:
         assert is_durable(Pw(ts=1, pw=_tsval(1, 0), w=_wtuple(1, 0)))
         assert is_durable(W(ts=1, pw=_tsval(1, 0), w=_wtuple(1, 0)))
         assert is_durable(EpochFence(nonce=0, epoch=3))
+        assert is_durable(WriteBack(c=_wtuple(1, 0), nonce=1,
+                                    reader_index=0))  # a heal install
         assert not is_durable(TagQuery(nonce=0))
         assert not is_durable(ReadRequest(round_index=1, tsr=1,
                                           reader_index=0))
@@ -272,14 +279,14 @@ class TestZeroReencode:
             if isinstance(message, EpochFence):
                 if message.lift:
                     fences.pop(key, None)
-                    continue
-                _, old = fences.get(key, (None, None))
-                fences[key] = (sender, EpochFence(
-                    nonce=message.nonce, register_id=key,
-                    epoch=max(message.epoch, old.epoch if old else 0),
-                    hard=message.hard or bool(old and old.hard)))
+                elif message.hard and (key not in fences or message.epoch
+                                       >= fences[key][1].epoch):
+                    fences[key] = (sender, message)
+            elif key in fences and not isinstance(message, WriteBack):
+                continue  # a write round the fence refused
             else:
-                slot = (key, type(message))
+                # A WriteBack install is a complete tuple, like a W.
+                slot = (key, Pw if isinstance(message, Pw) else W)
                 if slot not in tops or message.tag >= tops[slot][1].tag:
                     tops[slot] = (sender, message)
         frames = []
@@ -379,7 +386,8 @@ class TestSnapshotReplayEquivalence:
         fence after the lift, on both sides of a snapshot."""
         def fence(key, nonce, epoch, **flags):
             return (writer(1), EpochFence(nonce=nonce, epoch=epoch,
-                                          register_id=key, **flags))
+                                          register_id=key,
+                                          **{"hard": True, **flags}))
 
         def write(key, ts):
             pw = _tsval(ts, 0)
@@ -411,7 +419,6 @@ class TestSnapshotReplayEquivalence:
             self._assert_equivalent(reference, recovered, keys)
             assert recovered.fences == reference.fences == {
                 "a": 2, "b": 2, "d": 8}
-            assert recovered.hard_fences == reference.hard_fences == {"a"}
             if not snapshot_again:
                 store.take_snapshot()  # from recovered (on-disk) bytes
             store.close()
@@ -431,7 +438,8 @@ class TestSnapshotReplayEquivalence:
         durability = ReplicaDurability(str(tmp_path), fsync="never")
         reference = self._fresh()
         stream = _write_stream(["k"], 3) + [
-            (writer(0), EpochFence(nonce=1, epoch=9, register_id="k")),
+            (writer(0), EpochFence(nonce=1, epoch=9, register_id="k",
+                                   hard=True)),
         ]
         _drive(reference, stream, durability)
         durability.take_snapshot()

@@ -537,7 +537,6 @@ class TestVectorEngine:
             # Hard-fence register "a" at every replica.
             for i in range(config.num_objects):
                 automaton = store.object_automaton(i)
-                automaton.hard_fences.add("a")
                 automaton.fences["a"] = 10**6
             with pytest.raises(FencedWriteError):
                 await store.write_many({"a": 10, "b": 20})
@@ -545,7 +544,6 @@ class TestVectorEngine:
             # later (unfenced) work.
             for i in range(config.num_objects):
                 automaton = store.object_automaton(i)
-                automaton.hard_fences.discard("a")
                 automaton.fences.pop("a", None)
             await store.write_many({"a": 30, "b": 40})
             reads = await store.read_many(["a", "b"])
