@@ -63,12 +63,10 @@ class Admin:
         """Drain one shard group and retire it."""
         return await self.coordinator.remove_shard(shard_id)
 
-    async def heal_replica(self, shard_id: int, index: int,
-                           automaton: Optional[ObjectAutomaton] = None
-                           ) -> ReconfigReport:
-        """Replace one (crashed) base object and install current tuples."""
-        return await self.coordinator.heal_replica(shard_id, index,
-                                                   automaton)
+    async def heal_replica(self, shard_id: int,
+                           *indices: int) -> ReconfigReport:
+        """Replace (crashed) base objects and install current tuples."""
+        return await self.coordinator.heal_replica(shard_id, *indices)
 
     # -- fault injection ----------------------------------------------------
     def compromise_replica(self, key: str, index: int,

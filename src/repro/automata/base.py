@@ -149,8 +149,9 @@ class MultiRegisterObject(ObjectAutomaton):
 
         The one way back is an explicit ``lift`` -- the control plane
         handing a previously moved-away register back to this replica
-        set.  Clients are trusted in the model, and tag arbitration
-        still buries any stale write below the replayed tag.
+        set.  Clients are trusted in the model, and the hand-back then
+        installs the register's current tuple under its original tag,
+        above every write that completed here before.
         """
         register_id = message.register_id
         if message.lift:
@@ -325,9 +326,11 @@ class ClientOperation:
         self._result = result
         return []
 
-    def install_frame(self, nonce: int) -> Optional[Message]:
-        """The frame installing the tuple this completed READ returned at
-        one replica (``None`` for the initial value); replica repair."""
+    def install_frame(self, nonce: int,
+                      relocated: bool = False) -> Optional[Message]:
+        """The frame installing the tuple this completed READ returned
+        (``None`` for the initial value), at replicas of its own replica
+        set or, ``relocated``, of another one (a shard handoff)."""
         raise ConfigurationError(f"{type(self).__name__} cannot install")
 
     @property

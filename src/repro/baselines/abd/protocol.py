@@ -121,7 +121,8 @@ class AbdObject(MultiRegisterObject):
                                          register_id=message.register_id))]
         if isinstance(message, TagQuery):
             # The protocol's own discovery speaks AbdQuery; TagQuery is
-            # the control plane's protocol-agnostic discovery (fencing).
+            # the protocol-agnostic tag probe every object answers (the
+            # multiproc supervisor's health ping rides it).
             tag = self._slot(message.register_id).tsval.tag
             return [(sender, TagQueryAck(nonce=message.nonce,
                                          object_index=self.object_index,
@@ -293,7 +294,8 @@ class AbdReadOperation(ClientOperation):
                 return self.complete(self._chosen.value)
         return []
 
-    def install_frame(self, nonce: int) -> Optional[AbdStore]:
+    def install_frame(self, nonce: int,
+                      relocated: bool = False) -> Optional[AbdStore]:
         if self._chosen.tag == TAG0:
             return None
         return AbdStore(tsval=self._chosen, nonce=nonce,

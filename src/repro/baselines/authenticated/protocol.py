@@ -107,8 +107,8 @@ class AuthObject(MultiRegisterObject):
                                           signed=slot.signed,
                                           register_id=message.register_id))]
         if isinstance(message, TagQuery):
-            # Control-plane discovery (fencing): protocol-agnostic, so
-            # reconfiguration works on authenticated stores too.
+            # The protocol-agnostic tag probe every object answers (the
+            # multiproc supervisor's health ping rides it).
             tag = self._slot(message.register_id).current_tag()
             return [(sender, TagQueryAck(nonce=message.nonce,
                                          object_index=self.object_index,
@@ -293,7 +293,8 @@ class AuthReadOperation(ClientOperation):
         self.tag = best.payload.tag if best is not None else TAG0
         return best.payload.value if best is not None else BOTTOM
 
-    def install_frame(self, nonce: int) -> Optional[AuthStore]:
+    def install_frame(self, nonce: int,
+                      relocated: bool = False) -> Optional[AuthStore]:
         if self.returned is None:
             return None
         return AuthStore(signed=self.returned, nonce=nonce,

@@ -4,7 +4,7 @@ The sim-tier scenarios in :mod:`repro.chaos.harness` attack the paper's
 protocols directly; this one attacks the *deployment machinery* built
 on top of them -- the epoch-fenced shard handoff of
 :class:`~repro.service.reconfig.ReconfigCoordinator`.  A seeded RNG
-picks a handoff stage (``fenced`` / ``snapshotted`` / ``replayed``) and
+picks a handoff stage (``fenced`` / ``snapshotted`` / ``installed``) and
 a replica index, the coordinator's ``chaos_hook`` kills that replica at
 exactly that stage of the first moved key, application write load keeps
 hammering the store throughout, and the run is gated on
@@ -35,7 +35,7 @@ from .harness import ChaosVerdict, CheckOutcome
 
 CRASH_DURING_RECONFIG = "crash-during-reconfig"
 
-_STAGES = ("fenced", "snapshotted", "replayed")
+_STAGES = ("fenced", "snapshotted", "installed")
 
 
 async def _scenario(seed: int) -> ChaosVerdict:

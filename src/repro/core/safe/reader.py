@@ -29,19 +29,31 @@ from ...config import SystemConfig
 from ...errors import ProtocolError
 from ...messages import ReadAck, ReadRequest, WriteBack
 from ...quorums import confirmation_threshold, elimination_threshold
-from ...types import BOTTOM, TAG0, ProcessId, WriteTuple, reader
+from ...types import (BOTTOM, TAG0, ProcessId, TsrArray, WriteTuple,
+                      reader)
 from .predicates import (CandidateTracker, conflict_pairs,
                          exists_conflict_free_quorum)
 
 
-def install_write_back(read: ClientOperation,
-                       nonce: int) -> Optional[WriteBack]:
+def install_write_back(read: ClientOperation, nonce: int,
+                       relocated: bool = False) -> Optional[WriteBack]:
     """``install_frame`` of the reads that return a stored tuple: the
     tuple they returned (``read.returned``) as a
-    :class:`~repro.messages.WriteBack`, ``None`` for the initial one."""
+    :class:`~repro.messages.WriteBack`, ``None`` for the initial one.
+
+    A ``relocated`` tuple travels with the initial (all-nil) reader
+    timestamp array: its own array holds the timestamps the source
+    replica set's readers sent, which the target's readers never did,
+    and a timestamp above a reader's current one reads as an accusation
+    (``conflict``, Figure 4 line 1) that would keep its reads from
+    leaving round 1.  Nil entries accuse nobody.
+    """
     c = read.returned
     if c is None or c.tag == TAG0:
         return None
+    if relocated:
+        c = WriteTuple(c.tsval, TsrArray.empty(read.config.num_objects,
+                                               read.config.num_readers))
     return WriteBack(c=c, nonce=nonce, reader_index=read.client_id.index,
                      register_id=read.register_id)
 

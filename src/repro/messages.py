@@ -294,18 +294,20 @@ class EpochFence(Message):
 
     Installed during a shard handoff (:mod:`repro.service.reconfig`):
     once a quorum acknowledges the fence, no write round on the register
-    can gather a quorum here, whatever its epoch, so the coordinator may
-    snapshot and replay the register elsewhere without losing a
-    completed write.  ``epoch`` only ratchets upward.  Only a frame with
-    ``hard`` set fences; one without it (a soft fence an earlier
-    version's heal logged) retires nothing.
+    can gather a quorum here, whatever its tag, so the coordinator may
+    read the register and install it elsewhere without losing a
+    completed write.  Only a frame with ``hard`` set fences; one without
+    it (a soft fence an earlier version's heal logged) retires nothing.
+    The coordinator sends ``epoch`` 0 and nothing compares it; objects
+    and the WAL still ratchet it upward, so the logs of older data
+    directories, which carry discovered epochs, recover unchanged.
 
     ``lift`` is the inverse control-plane verb: a later reconfiguration
     handing the register *back* to this replica set clears the fence
-    before replaying.  Clients are non-malicious in the model (only
+    before installing.  Clients are non-malicious in the model (only
     objects are Byzantine), so honouring a lift does not weaken the
-    fault assumptions -- and write arbitration still ignores any stale
-    tag below the replayed one.
+    fault assumptions -- and the lifted replicas hold no completed write
+    above the tuple the hand-back installs.
     """
 
     nonce: int
@@ -566,7 +568,7 @@ def summarize(message: Message) -> str:
                 f"epoch={message.epoch})")
     if isinstance(message, WriteFenced):
         return (f"WRITE_FENCED(s{message.object_index + 1}, "
-                f"epoch={message.epoch} < fence={message.fence_epoch})")
+                f"epoch={message.epoch}, fence={message.fence_epoch})")
     if isinstance(message, ReadRequest):
         return f"READ{message.round_index}<tsr={message.tsr}>"
     if isinstance(message, ReadAck):

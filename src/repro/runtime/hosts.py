@@ -287,7 +287,7 @@ class MuxClientHost:
         if self.history is None:
             return
         if not self.history.has_record(operation.operation_id):
-            return  # admitted with record=False (control-plane replay)
+            return  # admitted with record=False (control-plane read)
         self.history.record_completion(
             operation_id=operation.operation_id,
             result=operation.result,
@@ -332,6 +332,15 @@ class MuxClientHost:
                                         operation.tag)
         if not group.future.done():
             group.future.set_exception(error)
+
+    def abort(self, register_ids: Iterable[str],
+              error: BaseException) -> None:
+        """Fail every call with an operation pending on one of
+        ``register_ids``, as :meth:`_fail` does."""
+        pending = self._pending
+        for group in dict.fromkeys(pending[rid][1] for rid in register_ids
+                                   if rid in pending):
+            self._fail(group, error)
 
     def _expire(self, group: _VectorGroup) -> None:
         self._fail(group, asyncio.TimeoutError())
@@ -476,10 +485,9 @@ class MuxClientHost:
         """Run one operation; concurrent calls must target distinct registers.
 
         The one-member case of :meth:`run_many`.  ``record=False`` keeps
-        the operation out of the shared history: control-plane replays
-        re-install values that already have history records, and
-        recording the duplicate would distort the checkers' write
-        serialization; replica repair's reads are control-plane too.
+        the operation out of the shared history: the control plane's
+        state-transfer reads (replica repair, shard handoff) are no
+        client's reads.
         """
         self.start()
         results = await self._run_group([operation], timeout, record)

@@ -33,7 +33,8 @@ temp name and atomically renamed, so a crash mid-snapshot leaves the
 previous snapshot in place.
 
 Only *durable* messages are logged (:func:`is_durable`): ``Pw`` and
-``W`` rounds and ``WriteBack`` installs mutate register slots,
+``W`` rounds, ``WriteBack`` installs and the ABD and authenticated
+baselines' ``AbdStore``/``AuthStore`` mutate register slots,
 ``EpochFence`` mutates fence state.  Queries (``TagQuery``,
 ``ReadRequest``) are read-only and replayable from nothing.
 """
@@ -47,15 +48,17 @@ import zlib
 from typing import (Any, Awaitable, Dict, List, Optional, Sequence,
                     Tuple)
 
+from ..baselines.abd.protocol import AbdStore
+from ..baselines.authenticated.protocol import AuthStore
 from ..errors import TransportError
 from ..messages import Batch, EpochFence, Message, Pw, W, WriteBack
-from ..types import ProcessId, WriterTag
+from ..types import ProcessId, TimestampValue, WriterTag
 
 _S_RECORD = struct.Struct("<II")  # payload length, crc32(payload)
 
 #: Message types whose receipt mutates object state and must therefore
 #: survive a restart.  Everything else is a query or an ack.
-DURABLE_TYPES = (Pw, W, WriteBack, EpochFence)
+DURABLE_TYPES = (Pw, W, WriteBack, EpochFence, AbdStore, AuthStore)
 
 #: ``"batch"`` fsync cadence: records between forced syncs.
 FSYNC_BATCH_INTERVAL = 64
@@ -258,16 +261,18 @@ class _RegisterDigest:
     """The compacted durable state of one register slot.
 
     Keeps the frame of the maximum-tag ``Pw`` seen, of the maximum-tag
-    complete tuple (a ``W`` or a ``WriteBack`` install) and of the
-    highest fence (mirroring :meth:`~repro.automata.base.
-    MultiRegisterObject._on_epoch_fence`: the epoch only ratchets up, a
-    frame without the hard flag retires nothing, and a ``lift`` clears
-    it).  Write rounds logged while the register is fenced were refused
-    and are not kept.  Replaying these two-or-three frames leaves a
-    fresh automaton holding the same top tag, top value and fence state
-    as one that processed the whole log -- lower history entries are
-    dropped, which is the state of a correct-but-slow replica and what
-    ``heal_replica``'s install tops up.
+    complete tuple (a ``W``, a ``WriteBack`` install, or a baseline's
+    ``AbdStore``/``AuthStore``) and of the highest fence (mirroring
+    :meth:`~repro.automata.base.MultiRegisterObject._on_epoch_fence`:
+    the epoch only ratchets up, a frame without the hard flag retires
+    nothing, and a ``lift`` clears it).  What the object refused while
+    the register was fenced is not kept: write rounds, a writer's
+    ``AbdStore`` (not a write-back) and a signed ``AuthStore``.
+    Replaying these two-or-three frames leaves a fresh automaton holding
+    the same top tag, top value and fence state as one that processed
+    the whole log -- lower history entries are dropped, which is the
+    state of a correct-but-slow replica and what ``heal_replica``'s
+    install tops up.
 
     Frames are kept as the bytes they were logged as, so taking a
     snapshot encodes nothing.
@@ -301,6 +306,21 @@ class _RegisterDigest:
                                    or message.epoch >= self.fence[0]):
                 self.fence = (message.epoch,
                               payload or pack_frame(sender, message))
+        elif isinstance(message, AbdStore):
+            if self.fence is None or message.write_back:
+                self._keep_tuple(message.tsval.tag, sender, message,
+                                 payload)
+        elif isinstance(message, AuthStore):
+            signed = message.signed.payload
+            if self.fence is None and isinstance(signed, TimestampValue):
+                self._keep_tuple(signed.tag, sender, message, payload)
+
+    def _keep_tuple(self, tag: WriterTag, sender: ProcessId,
+                    message: Message, payload: Optional[bytes]) -> None:
+        """A baseline's stored pair: kept as the ``w`` frame if its tag
+        is the highest seen (the object adopts only a higher one)."""
+        if self.w is None or tag >= self.w[0]:
+            self.w = (tag, payload or pack_frame(sender, message))
 
     def frames(self) -> List[bytes]:
         """Replay frames, write rounds before the fence.

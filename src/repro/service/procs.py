@@ -269,8 +269,9 @@ class ReplicaProcessSupervisor:
     (one spawn per shard group, and one socket write each way per
     protocol round).  The monitor task restarts any dead child; a restarted
     child recovers from WAL + snapshot before reporting ports, and
-    ``on_restart(index)`` then fires once per hosted object index so
-    the service tier can run its ``heal_replica`` catch-up.
+    ``on_restart(indices)`` then fires once with the child's object
+    indices so the service tier can run one ``heal_replica`` catch-up
+    for all of them.
 
     ``ping_interval`` (seconds, ``None`` disables) adds active health
     checks: a live child that fails :data:`PING_FAILURE_THRESHOLD`
@@ -285,7 +286,7 @@ class ReplicaProcessSupervisor:
                  snapshot_every: int = 512,
                  ping_interval: Optional[float] = None,
                  on_restart: Optional[
-                     Callable[[int], Awaitable[None]]] = None):
+                     Callable[[Tuple[int, ...]], Awaitable[None]]] = None):
         if granularity not in ("replica", "group"):
             raise ConfigurationError(
                 f"unknown process granularity {granularity!r}; "
@@ -445,15 +446,14 @@ class ReplicaProcessSupervisor:
         for index in proc.spec.indices:
             self.restarts[index] = self.restarts.get(index, 0) + 1
         if self.on_restart is not None:
-            for index in proc.spec.indices:
-                try:
-                    await self.on_restart(index)
-                except Exception:
-                    # The child itself is up; a failed catch-up hook
-                    # leaves it merely slow-but-correct (WAL-recovered),
-                    # which the protocols tolerate.
-                    _log.exception(
-                        "on_restart hook failed for object %d", index)
+            try:
+                await self.on_restart(proc.spec.indices)
+            except Exception:
+                # The child itself is up; a failed catch-up hook leaves
+                # it merely slow-but-correct (WAL-recovered), which the
+                # protocols tolerate.
+                _log.exception("on_restart hook failed for objects %s",
+                               proc.spec.indices)
 
 
 class _ChildLink:
@@ -643,13 +643,11 @@ class ProcMultiRegisterStore(MultiRegisterStore):
                  snapshot_every: int = 512,
                  ping_interval: Optional[float] = None,
                  on_replica_restart: Optional[
-                     Callable[[int], Awaitable[None]]] = None):
-        self._on_replica_restart = on_replica_restart
+                     Callable[[Tuple[int, ...]], Awaitable[None]]] = None):
         self.supervisor = ReplicaProcessSupervisor(
             protocol_factory, config, data_dir,
             granularity=granularity, snapshot_every=snapshot_every,
-            ping_interval=ping_interval,
-            on_restart=self._handle_restart)
+            ping_interval=ping_interval, on_restart=on_replica_restart)
         super().__init__(protocol_factory(), config, jitter=jitter,
                          seed=seed, default_timeout=default_timeout,
                          max_pending_per_host=max_pending_per_host,
@@ -710,11 +708,6 @@ class ProcMultiRegisterStore(MultiRegisterStore):
                 "multiproc replicas recover their own state from WAL + "
                 "snapshot; a replacement automaton cannot be injected")
         return self.protocol.make_objects(self.config)[index]
-
-    # -- restart plumbing ---------------------------------------------------
-    async def _handle_restart(self, index: int) -> None:
-        if self._on_replica_restart is not None:
-            await self._on_replica_restart(index)
 
     def describe(self) -> str:
         return (f"ProcMultiRegisterStore({self.protocol.describe()}; "

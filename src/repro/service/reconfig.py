@@ -1,4 +1,4 @@
-"""Live replica-set reconfiguration: epoch-fenced shard handoff.
+"""Live replica-set reconfiguration: fenced shard handoff and repair.
 
 The paper's protocols assume a *static* set of base objects.  This
 module closes the gap between that model and a deployable store: shard
@@ -8,54 +8,42 @@ inside a :class:`~repro.service.store.MultiRegisterStore` can be
 **replaced**, all while the store keeps serving traffic on unaffected
 keys.
 
-The epoch-fencing contract
-==========================
+State transfer
+==============
 
-Handoff of one register from a *source* replica set to a *target* uses
-the MWMR ``(epoch, writer_id)`` tags as a fencing primitive.  For each
-moved key the :class:`ReconfigCoordinator` runs:
+Both operations move register state through one loop
+(:meth:`ReconfigCoordinator._transfer`): a classic vector READ of the
+keys (:meth:`~repro.service.store.MultiRegisterStore.read_for_install`),
+then one vector frame (:class:`InstallOperation`) carrying per written
+key exactly the tuple the read returned, under its *original* tag.
+Objects arbitrate an install by tag like that write's own message
+arriving late, so it buries no newer write.  A heal installs at the
+replaced replicas; a handoff moves the keys whose owner changes from a
+*source* replica set to a *target*, each sweep in one vector round per
+step:
 
-1. **Discover** -- a quorum of source objects reports the highest tag it
-   holds (:class:`~repro.messages.TagQuery`); let ``E`` be the maximum
-   epoch observed.
-2. **Fence** -- the coordinator installs a **hard** fence at a quorum
-   (:class:`~repro.messages.EpochFence` with ``hard=True``, recorded at
-   epoch ``F = E + 2``).  From then on, correct fenced objects *refuse
-   every write round on this register* -- whatever its epoch -- and
-   answer with :class:`~repro.messages.WriteFenced`; the handoff cannot
-   rely on an epoch threshold alone, because chained concurrent tag
-   discoveries (each writer observing the previous one's in-flight tag)
-   can mint epochs past any finite margin.  A fenced write can gather
-   at most ``t + b < S - t`` acknowledgments, so it aborts with
-   :class:`~repro.errors.FencedWriteError` after ``b + 1`` fence
-   reports.  Consequently **no write completes at the source after the
-   fence quorum is installed** -- clients observe an explicit failure,
-   never a silently lost write.
-3. **Snapshot** -- a regular READ at the source.  Regular semantics
-   guarantee the snapshot returns a value at least as fresh as every
-   write that *completed* before the snapshot began; together with (2),
-   the snapshot captures the register's last pre-handoff value.
-4. **Replay** -- the coordinator seeds the target's writer-epoch floor
-   to ``F - 1`` and writes the snapshot through the target's normal
-   write path, so the replayed value carries tag epoch ``>= F`` --
-   strictly above every pre-handoff tag.  Post-handoff writes continue above
-   ``F``, keeping per-register tag order (and hence the multi-writer
-   checkers, :func:`~repro.spec.checkers.check_mwmr_regularity`) intact
-   across the handoff.
-5. **Flip** -- after *all* moved keys are replayed, routing flips
-   atomically (:meth:`~repro.service.sharded.ShardedKVStore.
-   apply_reconfiguration`); reads of moved keys now observe the
-   replayed value at the target.
+1. **Fence** at the source: a hard :class:`~repro.messages.EpochFence`
+   per key at a quorum.  Fenced objects refuse every write round on the
+   register, so a write gathers at most ``t + b < S - t`` acks and
+   aborts with :class:`~repro.errors.FencedWriteError` after ``b + 1``
+   fence reports: **no write completes at the source after the fence
+   quorum** -- clients see an explicit failure, never a lost write.
+2. **Lift** at the target the fence an earlier handoff left there.
+3. **Read** at the source: with (1), every completed write is in it.
+4. **Install** at every target object, done at a quorum of acks.
+5. **Flip** routing atomically (:meth:`ReconfigCoordinator._flip`)
+   once *all* moved keys are installed, handing each key's writers
+   over to the target first.
 
-During steps 1-4 puts/gets on unmoved keys proceed untouched (their
-shard groups never see a fence), reads of moved keys keep being served
-by the source, and writes to moved keys fail fast with
-:class:`~repro.errors.FencedWriteError` (retry after the flip).
+Until the flip no client reaches the target, reads of moved keys are
+served by the source, writes to moved keys fail fast (retry after the
+flip), and unmoved keys never see a fence.  The README's "Live
+resharding" section gives the safety argument.
 
 Known limits: a ``put_many`` batch that mixes a moving key with unmoved
 ones aborts the whole batch when the moving key is fenced -- issue
-single puts around a planned reconfiguration.  Reads racing the
-snapshot on the *same reader index* are serialized by retrying on
+single puts around a planned reconfiguration.  The install reads share
+reader 0 with application gets; a get meeting one retries on
 :class:`~repro.errors.BusyRegisterError`.
 """
 
@@ -63,127 +51,84 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from ..automata.base import ClientOperation, ObjectAutomaton, Outgoing
-from ..automata.rounds import TagDiscovery
+from ..automata.base import ClientOperation, Outgoing
 from ..config import SystemConfig
 from ..errors import (BackpressureError, BusyRegisterError,
-                      ConfigurationError)
-from ..messages import EpochFence, EpochFenceAck, TagQuery, TagQueryAck
-from ..types import ProcessId, _Bottom, obj, writer
+                      ConfigurationError, FencedWriteError)
+from ..messages import EpochFence, Message
+from ..types import ProcessId, obj, writer
 from .hashing import HashRing, key_position, owned_diff
 from .sharded import ShardedKVStore
 from .store import CONTROL_WRITER_INDEX, MultiRegisterStore
 
-#: Epochs skipped above the discovered maximum.  ``+1`` covers writers
-#: that finished tag discovery before the fence landed (they pick
-#: ``E + 1``); the fence itself then sits one above that.
-FENCE_MARGIN = 2
+
+class ControlRound(ClientOperation):
+    """One control-plane round: :attr:`frame` (set by the subclass) to
+    ``replicas``, done once ``acks`` of them replied echoing this
+    operation's id as nonce."""
+
+    def __init__(self, config: SystemConfig, register_id: str,
+                 replicas: Iterable[int], acks: int):
+        super().__init__(writer(CONTROL_WRITER_INDEX), register_id)
+        self.config = config
+        self.replicas = [obj(i) for i in replicas]
+        self.acks = acks
+        self.frame: Optional[Message] = None
+        self._ackers: set = set()
+
+    def start(self) -> Outgoing:
+        self.begin_round()
+        return [(replica, self.frame) for replica in self.replicas]
+
+    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
+        if (sender in self.replicas
+                and getattr(message, "nonce", None) == self.operation_id):
+            self._ackers.add(sender)
+            if len(self._ackers) >= self.acks:
+                return self.complete(None)
+        return []
 
 
-class FenceOperation(ClientOperation):
-    """Retire one register at one replica set.
+class FenceOperation(ControlRound):
+    """Retire one register at one replica set: a hard
+    :class:`~repro.messages.EpochFence` to every object, done at a
+    quorum of acks.  Fenced objects refuse every later write round on
+    the register, whatever its tag.  Objects compare no fence epochs,
+    so the frame's epoch field (kept for the wire layout and the logs of
+    older data directories) goes out as 0.
 
-    Two rounds over the source objects: discover the maximum installed
-    tag from a quorum, then fence every object at epoch ``max_epoch +
-    FENCE_MARGIN`` and collect a quorum of fence acks.  Completes with
-    the installed fence epoch.  Fenced objects refuse every later write
-    round, whatever its epoch: concurrent multi-writer tag discoveries
-    can chain past any finite margin (each writer observes the previous
-    one's in-flight tag and picks one higher), but none outruns a fence.
-
-    ``lift=True`` inverts the operation: one round clearing the fence
-    at a quorum (no discovery), used when a reconfiguration hands a
-    register back to a replica set that fenced it in an earlier
-    handoff.  Completes with ``0``.
+    ``lift=True`` clears the fence instead, used when a reconfiguration
+    hands a register back to a replica set that fenced it in an earlier
+    handoff.
     """
 
     kind = "FENCE"
 
     def __init__(self, config: SystemConfig, register_id: str,
                  lift: bool = False):
-        super().__init__(writer(CONTROL_WRITER_INDEX), register_id)
-        self.config = config
-        self.lift = lift
-        self.phase = "discover"
-        self.fence_epoch: Optional[int] = None
-        self.discovery = TagDiscovery(
-            nonce=self.operation_id,
-            quorum=config.quorum_size,
-            writer_id=0,
-        )
-        self._fence_ackers: set = set()
-
-    def start(self) -> Outgoing:
-        if self.lift:
-            self.phase = "fence"
-            self.fence_epoch = 0
-            self.begin_round()
-            fence = EpochFence(nonce=self.operation_id, epoch=0,
-                               register_id=self.register_id, lift=True)
-            return [(obj(i), fence)
-                    for i in range(self.config.num_objects)]
-        self.begin_round()
-        query = TagQuery(nonce=self.operation_id,
-                         register_id=self.register_id)
-        return [(obj(i), query) for i in range(self.config.num_objects)]
-
-    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        if self.done or not sender.is_object:
-            return []
-        if (self.phase == "discover"
-                and isinstance(message, TagQueryAck)
-                and message.register_id == self.register_id):
-            self.discovery.offer(sender.index, message.nonce, message.tag)
-            if self.discovery.ready():
-                return self._start_fence_round()
-            return []
-        if (self.phase == "fence"
-                and isinstance(message, EpochFenceAck)
-                and message.nonce == self.operation_id
-                and message.register_id == self.register_id
-                and message.epoch >= (self.fence_epoch or 0)):
-            # An ack reporting a lower fence than requested cannot come
-            # from a correct object; it does not count toward the quorum.
-            self._fence_ackers.add(sender.index)
-            if len(self._fence_ackers) >= self.config.quorum_size:
-                return self.complete(self.fence_epoch)
-        return []
-
-    def _start_fence_round(self) -> Outgoing:
-        self.phase = "fence"
-        self.fence_epoch = self.discovery.max_tag.epoch + FENCE_MARGIN
-        self.begin_round()
-        fence = EpochFence(nonce=self.operation_id,
-                           epoch=self.fence_epoch,
-                           register_id=self.register_id, hard=True)
-        return [(obj(i), fence) for i in range(self.config.num_objects)]
+        super().__init__(config, register_id, range(config.num_objects),
+                         config.quorum_size)
+        self.frame = EpochFence(nonce=self.operation_id, epoch=0,
+                                register_id=register_id, hard=not lift,
+                                lift=lift)
 
 
-class InstallOperation(ClientOperation):
-    """Send replica ``index`` the tuple a completed read returned; any
-    reply from it echoing this operation's id as nonce completes it (an
-    ack, or a fence report from a register retired there meanwhile).
-    ``frame`` is ``None`` when the read returned the initial value."""
+class InstallOperation(ControlRound):
+    """Send ``replicas`` the tuple a completed read returned, under its
+    original tag (:attr:`tag`); a reply is an ack, or a fence report
+    from a register retired there meanwhile.  ``frame`` is ``None`` when
+    the read returned the initial value.  ``relocated`` marks an install
+    at another replica set than the read's (see ``install_frame``)."""
 
     kind = "INSTALL"
 
-    def __init__(self, read: ClientOperation, index: int):
-        super().__init__(writer(CONTROL_WRITER_INDEX), read.register_id)
-        self.config = read.config
-        self.replica = obj(index)
-        self.frame = read.install_frame(self.operation_id)
-
-    def start(self) -> Outgoing:
-        self.begin_round()
-        return [(self.replica, self.frame)]
-
-    def on_message(self, sender: ProcessId, message: Any) -> Outgoing:
-        if (sender == self.replica
-                and getattr(message, "nonce", None) == self.operation_id):
-            self.complete(None)
-        return []
+    def __init__(self, read: ClientOperation, replicas: Iterable[int],
+                 acks: int, relocated: bool = False):
+        super().__init__(read.config, read.register_id, replicas, acks)
+        self.tag = read.tag
+        self.frame = read.install_frame(self.operation_id, relocated)
 
 
 @dataclass
@@ -192,47 +137,54 @@ class ReconfigReport:
 
     operation: str                     # "add-shard" | "remove-shard" | ...
     shard_id: int
-    #: key -> (source shard id, target shard id) per replayed (or, for a
-    #: heal, installed) key.
+    #: key -> (source shard id, target shard id) per installed key.
     moved: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: key -> fence epoch installed at its source replica set.
-    fence_epochs: Dict[str, int] = field(default_factory=dict)
-    #: keys owned by a moved range but never written (nothing to replay).
+    #: keys whose read returned the initial value (nothing to install).
     skipped: List[str] = field(default_factory=list)
 
     def describe(self) -> str:
         return (f"{self.operation}(shard {self.shard_id}): "
                 f"{len(self.moved)} key(s) moved, "
-                f"{len(self.skipped)} empty, fences "
-                f"{sorted(set(self.fence_epochs.values()))}")
+                f"{len(self.skipped)} empty")
+
+
+def _grouped(moves: Dict[str, Tuple[int, int]],
+             side: Optional[int] = None) -> Dict[Hashable, List[str]]:
+    """Moved keys per ``(source, target)`` pair, or per ``move[side]``."""
+    groups: Dict[Hashable, List[str]] = {}
+    for key, move in moves.items():
+        groups.setdefault(move if side is None else move[side],
+                          []).append(key)
+    return groups
 
 
 class ReconfigCoordinator:
     """Drives live reconfigurations of one :class:`ShardedKVStore`.
 
     The coordinator is stateless between operations; all durable state
-    lives in the store (ring, shard map, object automata).  Fence
-    traffic runs over each shard store's shared control host, so any
-    number of coordinators may exist without double-binding inboxes --
-    but do not run two shard-set changes *concurrently*.  Heals may
-    overlap each other, application traffic and shard-set changes.
+    lives in the store (ring, shard map, object automata).  Fence and
+    install traffic runs over each shard store's shared control host, so
+    any number of coordinators may exist without double-binding inboxes.
+    Heals and application traffic may overlap each other and a handoff;
+    two shard-set changes may not overlap.
 
     Failure semantics: if a shard-set change raises midway (e.g. a
     timeout), routing has *not* flipped and fences remain installed on
     the keys already processed -- writes to those keys keep failing
     fast with :class:`~repro.errors.FencedWriteError` until the
     reconfiguration is **retried to completion** (every step is safe to
-    repeat: fences ratchet, snapshots are reads, replays just write
-    again).  Reads are never affected by a partial reconfiguration.
+    repeat: fences and lifts are idempotent, reads are reads, and an
+    install is arbitrated by its original tag).  Reads are never
+    affected by a partial reconfiguration.
 
     ``chaos_hook`` is the chaos harness's entry point: a callable (sync
     or async) invoked as ``hook(stage, key)`` at every handoff stage --
-    ``"fenced"``, ``"snapshotted"``, ``"replayed"`` per key, ``"flip"``
-    once before routing flips -- and at a heal's ``"snapshotted"`` per
-    key, after its read and before its install.  The hook may crash
-    replicas, delay, or raise; the coordinator makes no attempt to
-    survive hook exceptions beyond its normal failure semantics above.
-    Production code leaves it ``None`` (a no-op).
+    ``"fenced"``, ``"snapshotted"`` (after the read, before the install)
+    and ``"installed"`` per key, ``"flip"`` once before routing flips --
+    and at a heal's ``"snapshotted"`` and ``"installed"`` per key.  The
+    hook may crash replicas, delay, or raise; the coordinator makes no
+    attempt to survive hook exceptions beyond its normal failure
+    semantics above.  Production code leaves it ``None`` (a no-op).
     """
 
     def __init__(self, kv: ShardedKVStore,
@@ -278,7 +230,7 @@ class ReconfigCoordinator:
                 await store.stop()
             raise
         await self._maybe_hook("flip", None)
-        kv.apply_reconfiguration(new_ring, shards_after)
+        self._flip(new_ring, shards_after, report)
         return report
 
     async def remove_shard(self, shard_id: int) -> ReconfigReport:
@@ -297,7 +249,7 @@ class ReconfigCoordinator:
         await self._migrate(new_ring, shards_after, report)
         await self._maybe_hook("flip", None)
         drained = kv.shards[shard_id]
-        kv.apply_reconfiguration(new_ring, shards_after)
+        self._flip(new_ring, shards_after, report)
         # Operations admitted to the drained group before the flip must
         # finish before its hosts go away, or they would fail spuriously.
         await drained.quiesce()
@@ -305,54 +257,70 @@ class ReconfigCoordinator:
         return report
 
     # -- replica repair -----------------------------------------------------
-    async def heal_replica(self, shard_id: int, index: int,
-                           automaton: Optional[ObjectAutomaton] = None
-                           ) -> ReconfigReport:
-        """Replace one (crashed) base object and install current tuples.
+    async def heal_replica(self, shard_id: int,
+                           *indices: int) -> ReconfigReport:
+        """Replace (crashed) base objects ``indices`` of one shard group
+        and install current tuples at them.
 
-        The swap inherits the replica's inbox and lifts any crash on its
-        pid.  Then classic vector reads of the keys the shard owns, each
-        of as many as reader 0 (which application gets share) admits at
-        the time, each followed by one vector frame from the control
-        host to the replaced replica only, carrying per written key
-        exactly the tuple the read returned, under its original tag; the
-        heal waits for that replica's acks.  Objects arbitrate an
-        install by tag like the writer's own message arriving late, so
-        it buries nothing: every write completed before the call is
-        installed, and a concurrent write may leave the replica one
-        write behind, like any slow replica.  Heals overlap puts, gets,
-        heals and shard-set changes.
+        Each swap inherits the replica's inbox and lifts any crash on its
+        pid.  Then the shared read-then-install loop over the keys the
+        shard owns: classic vector reads, each of as many keys as reader
+        0 (which application gets share) admits at the time, each
+        followed by one vector frame from the control host to the
+        replaced replicas only, carrying per written key exactly the
+        tuple the read returned, under its original tag; the heal waits
+        for every replaced replica's ack.  One read serves every index,
+        so healing a whole replica child costs one heal.  A concurrent
+        write may leave a replica one write behind, like any slow
+        replica.  Heals overlap puts, gets, heals and shard-set changes.
         """
+        if not indices:
+            raise ConfigurationError("heal_replica needs a replica index")
         kv = self.kv
         store = kv.shards[shard_id]
-        store.replace_object(index, automaton)
+        for index in indices:
+            store.replace_object(index)
         report = ReconfigReport(operation="heal-replica", shard_id=shard_id)
         # Stale client state may name keys moved elsewhere since.
         keys = [key for key in store.registers()
                 if kv.ring.shard_for(key) == shard_id]
-        control = store.control_host()
+        await self._transfer(store, store, keys, indices, len(indices),
+                             report, (shard_id, shard_id))
+        return report
+
+    # -- state transfer -----------------------------------------------------
+    async def _transfer(self, source: MultiRegisterStore,
+                        target: MultiRegisterStore, keys: List[str],
+                        replicas: Iterable[int], acks: int,
+                        report: ReconfigReport,
+                        move: Tuple[int, int]) -> None:
+        """Read ``keys`` at ``source``; install each returned tuple at
+        ``target``'s ``replicas``, ``acks`` of them acknowledging."""
+        replicas = list(replicas)
+        relocated = source is not target
+        control = target.control_host()
         while keys:
-            reads = await store.read_for_install(keys)
+            reads = await source.read_for_install(keys)
             installs = []
             for read in reads:
-                install = InstallOperation(read, index)
+                install = InstallOperation(read, replicas, acks, relocated)
                 if install.frame is None:
                     report.skipped.append(read.register_id)  # no tuple
                     continue
                 await self._maybe_hook("snapshotted", read.register_id)
                 installs.append(install)
-                report.moved[read.register_id] = (shard_id, shard_id)
-            await self._with_retry(store, lambda: control.run_many(
-                installs, store.default_timeout))
+            await self._with_retry(target, lambda: control.run_many(
+                installs, target.default_timeout))
+            for install in installs:
+                report.moved[install.register_id] = move
+                await self._maybe_hook("installed", install.register_id)
             done = {read.register_id for read in reads}
             keys = [key for key in keys if key not in done]
-        return report
 
-    # -- handoff machinery --------------------------------------------------
     async def _migrate(self, new_ring: HashRing,
                        shards_after: Dict[int, MultiRegisterStore],
                        report: ReconfigReport) -> None:
-        """Fence, snapshot and replay every key whose owner changes.
+        """Fence, lift and transfer every key whose owner changes.
 
         Runs to a *fixpoint*: keys first written while the migration is
         in flight (and therefore absent from the initial enumeration)
@@ -363,70 +331,72 @@ class ReconfigCoordinator:
         no new key can appear between that check and the flip.
         """
         kv = self.kv
-        old_ring = kv.ring
-        ranges = owned_diff(old_ring, new_ring)
+        ranges = owned_diff(kv.ring, new_ring)
         while True:
-            pending = [
-                key for key in kv.known_keys()
-                if key not in report.fence_epochs
-                and any(r.contains(key_position(key)) for r in ranges)
-            ]
-            if not pending:
-                return
-            for key in pending:
-                moved_range = next(r for r in ranges
-                                   if r.contains(key_position(key)))
-                src, dst = moved_range.old_shard, moved_range.new_shard
-                source = kv.shards[src]
-                target = shards_after[dst]
-                # The fence *retires* the register at the source: no
-                # write completes there from now on.
-                fence_epoch = await self._fence(source, key)
-                report.fence_epochs[key] = fence_epoch
-                await self._maybe_hook("fenced", key)
-                # The target may have fenced this key itself when an
-                # earlier reconfiguration moved it *away*; lift that
-                # fence or the hand-back replay (and all later writes)
-                # would be refused forever.
-                await self._fence(target, key, lift=True)
-                value, pre_tag = await self._with_retry(
-                    source, lambda: source.read_tagged(key))
-                await self._maybe_hook("snapshotted", key)
-                if isinstance(value, _Bottom):
-                    # Fenced while unwritten: it can never gain a value
-                    # at the source, so one visit is enough.
-                    report.skipped.append(key)
+            moves: Dict[str, Tuple[int, int]] = {}
+            for key in kv.known_keys():
+                if key in report.moved or key in report.skipped:
                     continue
-                target.seed_writer_epoch(key, fence_epoch - 1)
-                await self._replay(target, key, value, pre_tag)
-                await self._maybe_hook("replayed", key)
-                report.moved[key] = (src, dst)
+                position = key_position(key)
+                arc = next((r for r in ranges if r.contains(position)),
+                           None)
+                if arc is not None:
+                    moves[key] = (arc.old_shard, arc.new_shard)
+            if not moves:
+                return
+            # The fence *retires* the registers at the source: no write
+            # completes there from now on.
+            for src, keys in _grouped(moves, 0).items():
+                await self._fence(kv.shards[src], keys)
+            for key in moves:
+                await self._maybe_hook("fenced", key)
+            # A target may have fenced a key itself when an earlier
+            # reconfiguration moved it *away*; lift that fence or the
+            # hand-back install (and all later writes) would be refused.
+            for dst, keys in _grouped(moves, 1).items():
+                await self._fence(shards_after[dst], keys, lift=True)
+            for (src, dst), keys in _grouped(moves).items():
+                target = shards_after[dst]
+                await self._transfer(
+                    kv.shards[src], target, keys,
+                    range(target.config.num_objects),
+                    target.config.quorum_size, report, (src, dst))
 
-    async def _replay(self, target: MultiRegisterStore, key: str,
-                      value: Any, pre_tag) -> None:
-        """Re-install ``value`` at ``target`` under the seeded epoch.
+    def _flip(self, new_ring: HashRing,
+              shards_after: Dict[int, MultiRegisterStore],
+              report: ReconfigReport) -> None:
+        """Hand each moved key's writers over, then flip routing.
 
-        The replay is control-plane traffic: it duplicates a value whose
-        original write is already on record, so it is kept *out* of the
-        shared history and registered as a **republication** alias (new
-        tag -> ``pre_tag``) instead.  Recording it as an application
-        write would make the checkers demand that reads served by the
-        source during the pre-flip window already observe the replay's
-        fresher tag -- a staleness that no client can distinguish,
-        since the value is identical.
+        No await: writes still in flight at a source on a moved key fail
+        here with :class:`~repro.errors.FencedWriteError`, as the fence
+        would fail them, so none of them chooses a tag after this.  Each
+        target writer's floor is then raised to the epoch that writer
+        last chose (or was seeded with) at the source.  That is at least
+        the installed tag's epoch when the writer chose that tag, and
+        single-writer protocols discover no tags, so a post-flip put
+        lands above the installed tag.  It also takes no tag a refused
+        source write took.  Seeding creates the key's client state at
+        the target, which later heals enumerate.
         """
-        _, new_tag = await self._with_retry(
-            target, lambda: target.write_tagged(key, value, record=False))
-        if (target.history is not None and new_tag is not None
-                and pre_tag is not None):
-            target.history.record_republication(key, new_tag, pre_tag)
+        kv = self.kv
+        for (src, dst), keys in _grouped(report.moved).items():
+            source, target = kv.shards[src], shards_after[dst]
+            source.abort_writes(keys, FencedWriteError(
+                f"{len(keys)} key(s) moved from shard {src} to {dst} "
+                f"mid-write"))
+            for key in keys:
+                for index in range(target.config.num_writers):
+                    target.seed_writer_epoch(
+                        key, source.writer_epoch(key, index), index)
+        kv.apply_reconfiguration(new_ring, shards_after)
 
-    async def _fence(self, store: MultiRegisterStore, key: str,
-                     lift: bool = False) -> int:
-        operation = FenceOperation(store.config, key, lift=lift)
-        return await self._with_retry(
-            store, lambda: store.control_host().run(operation,
-                                                    store.default_timeout))
+    async def _fence(self, store: MultiRegisterStore, keys: List[str],
+                     lift: bool = False) -> None:
+        operations = [FenceOperation(store.config, key, lift=lift)
+                      for key in keys]
+        control = store.control_host()
+        await self._with_retry(store, lambda: control.run_many(
+            operations, store.default_timeout))
 
     @staticmethod
     async def _with_retry(store: MultiRegisterStore, run):
@@ -450,7 +420,6 @@ class ReconfigCoordinator:
 
 
 __all__ = [
-    "FENCE_MARGIN",
     "FenceOperation",
     "ReconfigCoordinator",
     "ReconfigReport",

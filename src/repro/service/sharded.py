@@ -17,9 +17,10 @@ Capacity therefore scales two ways at once:
 
 Shard groups are keyed by integer shard id (``self.shards`` is a dict),
 matching the ring's id set so groups can be added and drained *live*:
-:class:`~repro.service.reconfig.ReconfigCoordinator` fences, snapshots
-and replays the moved keys, then calls :meth:`apply_reconfiguration` to
-flip routing atomically.
+:class:`~repro.service.reconfig.ReconfigCoordinator` fences the moved
+keys at their source, installs the tuples a read there returns at their
+target under the original tags, then calls
+:meth:`apply_reconfiguration` to flip routing atomically.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class ShardedKVStore:
     with ``(epoch, writer_id)`` tags.  ``record_history=True`` captures
     every operation of every shard into one shared history for the
     consistency checkers (a key lives wholly in one shard at any moment,
-    and reconfiguration replays carry strictly larger tags, so
-    per-register checks stay exact across a handoff).
+    and a handoff installs tuples under the tags their recorded writes
+    chose, so per-register checks stay exact across a handoff).
     """
 
     def __init__(self, protocol_factory: Callable[[], StorageProtocol],
@@ -127,8 +128,8 @@ class ShardedKVStore:
         """A fresh shard group wired like the originals (reconfiguration).
 
         The store is *not* started and *not* routed to; a coordinator
-        starts it, replays moved keys into it, and flips routing via
-        :meth:`apply_reconfiguration`.
+        starts it, installs the moved keys' tuples at it, and flips
+        routing via :meth:`apply_reconfiguration`.
 
         This is the deployment switch: ``config.deployment`` selects
         in-proc object hosts or supervised replica processes
@@ -161,15 +162,17 @@ class ShardedKVStore:
             store.enable_fast_reads()
         return store
 
-    async def _heal_after_restart(self, shard_id: int, index: int) -> None:
-        """Top up a restarted replica: WAL recovery + protocol healing.
+    async def _heal_after_restart(self, shard_id: int,
+                                  indices: Tuple[int, ...]) -> None:
+        """Top up a restarted child's replicas: WAL recovery + healing.
 
         The restarted child already replayed its snapshot + WAL, so it
         rejoins *almost* current -- missing only what was acked while it
-        was dead.  ``heal_replica`` closes that gap with the paper's own
-        machinery (a classic read, then the returned tuples installed at
-        this replica under their original tags), after which the
-        replica counts toward quorums without any special casing.
+        was dead.  One ``heal_replica`` of all its ``indices`` closes
+        that gap with the paper's own machinery (a classic read, then
+        the returned tuples installed at these replicas under their
+        original tags), after which they count toward quorums without
+        any special casing.
         *Expected* failures -- a heal losing a race with another kill, a
         timed-out round, a dropped socket -- are logged and swallowed:
         they leave the replica where WAL recovery put it, a slow
@@ -182,12 +185,12 @@ class ShardedKVStore:
             return
         from .reconfig import ReconfigCoordinator  # avoid import cycle
         try:
-            await ReconfigCoordinator(self).heal_replica(shard_id, index)
+            await ReconfigCoordinator(self).heal_replica(shard_id, *indices)
         except (ReproError, asyncio.TimeoutError, OSError) as exc:
             _log.warning(
-                "heal of shard %d replica %d after restart failed "
-                "(%s: %s); replica rejoins with WAL-recovered state",
-                shard_id, index, type(exc).__name__, exc)
+                "heal of shard %d replicas %s after restart failed "
+                "(%s: %s); replicas rejoin with WAL-recovered state",
+                shard_id, indices, type(exc).__name__, exc)
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> "ShardedKVStore":
@@ -251,10 +254,10 @@ class ShardedKVStore:
         self.retired_shard_ids |= set(self.shards) - set(shards)
         self.ring = ring
         self.shards = shards
-        # A routing flip retires every pre-flip read lease: migrated keys
-        # were replayed into their new shard group at strictly larger
-        # tags, so a lease minted against the old placement could serve a
-        # value the handoff has already superseded.  Dropping all leases
+        # A routing flip retires every pre-flip read lease: a lease names
+        # a tag at one replica set, and a moved key's writes continue at
+        # another -- a key handed back finds its old group's lease below
+        # what the group it left installed there.  Dropping all leases
         # is coarse but the flip is rare; the next write or classic read
         # of each key re-arms it.
         for shard in shards.values():

@@ -27,7 +27,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional, Set,
 
 from ..automata.base import ClientOperation, ObjectAutomaton
 from ..config import SystemConfig
-from ..errors import ConfigurationError, TransportError
+from ..errors import TransportError
 from ..protocols import StorageProtocol
 from ..runtime.hosts import MuxClientHost, ObjectHost
 from ..runtime.memnet import AsyncNetwork
@@ -240,34 +240,28 @@ class MultiRegisterStore:
     # -- single operations ----------------------------------------------------
     async def write(self, register_id: str, value: Any,
                     timeout: Optional[float] = None,
-                    writer_index: int = 0, record: bool = True) -> Any:
+                    writer_index: int = 0) -> Any:
         self._require_started()
         operation = self.protocol.make_write_to(
             self._states.writer(register_id, writer_index), value,
             register_id)
         result = await self._writer_host(writer_index).run(
-            operation, timeout or self.default_timeout, record=record)
+            operation, timeout or self.default_timeout)
         # The completed write's ack certifies (tag, value) quorum-held.
         self._states.leases.grant(register_id, operation.tag, value)
         return result
 
     async def write_tagged(self, register_id: str, value: Any,
                            timeout: Optional[float] = None,
-                           writer_index: int = 0, record: bool = True
+                           writer_index: int = 0
                            ) -> Tuple[Any, Optional[WriterTag]]:
-        """WRITE and report the ``(epoch, writer_id)`` tag installed.
-
-        ``record=False`` keeps the write out of the shared history --
-        the reconfiguration coordinator uses this for replays, recording
-        a *republication* alias instead (the replay duplicates a value
-        whose original write is already on record).
-        """
+        """WRITE and report the ``(epoch, writer_id)`` tag installed."""
         self._require_started()
         operation = self.protocol.make_write_to(
             self._states.writer(register_id, writer_index), value,
             register_id)
         result = await self._writer_host(writer_index).run(
-            operation, timeout or self.default_timeout, record=record)
+            operation, timeout or self.default_timeout)
         self._states.leases.grant(register_id, operation.tag, value)
         return result, operation.tag
 
@@ -413,10 +407,11 @@ class MultiRegisterStore:
 
     async def read_for_install(self, register_ids: List[str]
                                ) -> List[ClientOperation]:
-        """Replica repair's unrecorded vector READ on reader 0 of those of
-        ``register_ids`` it can admit now (idle there, and at most half
-        its pending cap), at least one: until then it waits for calls in
-        flight.  Returns the completed operations, each naming its tuple.
+        """State transfer's unrecorded vector READ (replica repair and
+        shard handoff) on reader 0 of those of ``register_ids`` it can
+        admit now (idle there, and at most half its pending cap), at
+        least one: until then it waits for calls in flight.  Returns the
+        completed operations, each naming its tuple.
         """
         self._require_started()
         host = self._reader_hosts[0]
@@ -435,21 +430,30 @@ class MultiRegisterStore:
         return operations
 
     # -- reconfiguration support --------------------------------------------
+    def writer_epoch(self, register_id: str, writer_index: int = 0) -> int:
+        """The epoch of the last tag writer ``writer_index`` chose (or
+        was seeded with) for ``register_id`` here."""
+        return self._states.writer(register_id, writer_index).ts
+
+    def abort_writes(self, register_ids: Iterable[str],
+                     error: BaseException) -> None:
+        """Fail every write call with an operation pending on one of
+        ``register_ids`` (a shard handoff's flip)."""
+        register_ids = list(register_ids)
+        for host in self._writer_hosts.values():
+            host.abort(register_ids, error)
+
     def seed_writer_epoch(self, register_id: str, epoch: int,
                           writer_index: int = 0) -> None:
-        """Raise a register's writer epoch floor (shard handoff replay).
+        """Raise a register's writer epoch floor (shard handoff).
 
         The next WRITE to ``register_id`` by that writer uses an epoch
         ``> epoch``: single-writer protocols bump the seeded counter,
-        multi-writer tag discovery uses it as its floor.  Replaying a
-        moved register into its target shard seeds the *fence* epoch
-        here so the replayed value's tag exceeds every pre-handoff tag.
+        multi-writer tag discovery uses it as its floor.  A handoff's
+        flip seeds each target writer with its :meth:`writer_epoch` at
+        the source.
         """
         state = self._states.writer(register_id, writer_index)
-        if not hasattr(state, "ts"):
-            raise ConfigurationError(
-                f"{self.protocol.name} writer state exposes no epoch "
-                f"counter; cannot seed a handoff epoch")
         state.ts = max(state.ts, epoch)
 
     # -- observability -----------------------------------------------------

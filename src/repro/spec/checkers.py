@@ -244,14 +244,13 @@ def _check_mwmr_write_order(ordered, result: CheckResult,
 
 
 def _mwmr_read_clauses(read: OperationRecord, ordered, by_tag,
-                       result: CheckResult, history: History) -> None:
+                       result: CheckResult) -> None:
     """Per-read MWMR regularity: observed tag exists, is fresh enough and
     not from the future.  ``ordered``/``by_tag`` are the tag-sorted write
-    list and tag index, computed once per check.  Observed tags are
-    normalized through the history's republication aliases first: a read
-    that observed a control-plane replay observed the *duplicated*
-    version, not a new one."""
-    tag = history.resolve_tag(read.register, read.tag)
+    list and tag index, computed once per check.  A read that observed a
+    tuple the control plane installed (replica repair, shard handoff)
+    observed that tuple's original tag, which a recorded write chose."""
+    tag = read.tag
     value = read.result
     if tag is None:
         result.violations.append(
@@ -312,7 +311,7 @@ def check_mwmr_regularity(history: History) -> CheckResult:
     _check_mwmr_write_order(ordered, result, history)
     for read in history.reads(complete_only=True):
         result.checked_reads += 1
-        _mwmr_read_clauses(read, ordered, by_tag, result, history)
+        _mwmr_read_clauses(read, ordered, by_tag, result)
     return result
 
 
@@ -334,8 +333,7 @@ def check_mwmr_atomicity(history: History) -> CheckResult:
     result.property_name = "mwmr-atomicity"
     if not result.ok:
         return result
-    reads = [(r, history.resolve_tag(r.register, r.tag))
-             for r in history.reads(complete_only=True)
+    reads = [(r, r.tag) for r in history.reads(complete_only=True)
              if r.tag is not None]
     for i, (r1, t1) in enumerate(reads):
         for r2, t2 in reads[i + 1:]:
@@ -382,7 +380,7 @@ def check_fast_read_freshness(history: History) -> CheckResult:
             if not read.fast:
                 continue
             result.checked_reads += 1
-            _mwmr_read_clauses(read, ordered, by_tag, result, sub)
+            _mwmr_read_clauses(read, ordered, by_tag, result)
     return result
 
 
@@ -394,14 +392,13 @@ def check_fast_read_freshness(history: History) -> CheckResult:
 def check_per_register(history: History, checker=None) -> CheckResult:
     """Run ``checker`` over every register's sub-history and merge.
 
-    Multiplexed stores record all registers into one history, and a
-    history spanning a *reconfiguration* additionally interleaves the
-    coordinator's snapshot reads and replay writes with application
-    traffic.  Each register's consistency is still exactly its
-    sub-history's (the replay write is an ordinary write whose tag --
-    the fence epoch -- exceeds every pre-handoff tag, and fenced writes
-    never complete, so they stay unconstrained pending operations), so
-    per-register checks remain sound across a handoff.
+    Multiplexed stores record all registers into one history, and a key
+    lives wholly in one shard group at any moment.  A *reconfiguration*
+    records nothing of its own: its reads are kept out of the history
+    and its installs carry tuples under the original tags recorded
+    writes chose, and fenced writes never complete, so they stay
+    unconstrained pending operations.  Each register's consistency is
+    therefore exactly its sub-history's, across a handoff too.
 
     ``checker`` defaults to :func:`check_regularity`; any
     ``History -> CheckResult`` callable works (e.g.
@@ -457,8 +454,7 @@ def check_snapshot_consistency(history: History) -> CheckResult:
         result.checked_reads += len(snap.cut)
         reflected: List[OperationRecord] = []
         excluded: List[OperationRecord] = []
-        for key, raw_tag in snap.cut.items():
-            tag = history.resolve_tag(key, raw_tag)
+        for key, tag in snap.cut.items():
             if tag is None:
                 tag = TAG0  # a tagless protocol cut: treat as initial
             writes = writes_by_register.get(key, [])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..types import BOTTOM, DEFAULT_REGISTER, ProcessId, WriterTag
 
@@ -111,13 +111,6 @@ class History:
         self._write_count = 0
         self._snapshots: List[SnapshotRecord] = []
         self._snapshot_count = 0
-        #: (register, new tag) -> original tag, for control-plane
-        #: *republications* (shard-handoff replays):
-        #: the same value re-installed under a fresher tag.  Checkers
-        #: normalize observed tags through this map, so a republication
-        #: is invisible to the specifications -- exactly as a write-back
-        #: of an already-written value should be.
-        self._republications: Dict[Tuple[str, WriterTag], WriterTag] = {}
 
     # -- recording ----------------------------------------------------------
     def record_invocation(self, operation_id: int, client: ProcessId,
@@ -226,36 +219,6 @@ class History:
     def snapshots(self) -> List[SnapshotRecord]:
         return list(self._snapshots)
 
-    # -- republications (control-plane replays) -----------------------------
-    def record_republication(self, register: str, new_tag: WriterTag,
-                             of_tag: WriterTag) -> None:
-        """Declare ``new_tag`` a re-installation of ``of_tag``'s value.
-
-        Reconfiguration replays a moved register's last value into its
-        target shard group under the fence epoch -- a *duplicate* of an
-        existing version, not a new client write.  The replay itself is
-        not recorded as an operation; this alias lets the checkers remap
-        a read that observed the replayed tag back onto the version it
-        duplicates.
-        """
-        if new_tag == of_tag:
-            return
-        self._republications[(register, new_tag)] = of_tag
-
-    def resolve_tag(self, register: str,
-                    tag: Optional[WriterTag]) -> Optional[WriterTag]:
-        """Follow republication aliases to the originating write's tag.
-
-        Chains (a register handed off twice republishes a republication)
-        are followed to the fixpoint.
-        """
-        while tag is not None:
-            original = self._republications.get((register, tag))
-            if original is None:
-                return tag
-            tag = original
-        return tag
-
     def has_record(self, operation_id: int) -> bool:
         return operation_id in self._records
 
@@ -342,11 +305,6 @@ class History:
         sub._records = {op_id: record
                         for op_id, record in self._records.items()
                         if record.register == register}
-        sub._republications = {
-            key: original
-            for key, original in self._republications.items()
-            if key[0] == register
-        }
         return sub
 
     def render(self) -> str:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api.cluster import Cluster
 from repro.api.policy import RETRYABLE, RetryPolicy
+from repro.baselines import AbdAtomicProtocol, AuthenticatedProtocol
 from repro.config import SystemConfig
 from repro.core.atomic import AtomicStorageProtocol
 from repro.core.regular import RegularStorageProtocol
@@ -272,6 +273,65 @@ class TestKillAndRecover:
 
         run(scenario())
 
+    @pytest.mark.parametrize("factory, b", [(AbdAtomicProtocol, 0),
+                                            (AuthenticatedProtocol, 1)])
+    def test_baseline_replicas_recover_their_stores(self, tmp_path,
+                                                     factory, b):
+        """``AbdStore``/``AuthStore`` frames are logged: with no heal to
+        top them up, replicas restarted one after another still hold
+        the acknowledged put."""
+
+        async def scenario():
+            config = SystemConfig.optimal(t=1, b=b).with_deployment(
+                "multiproc")
+            cluster = Cluster(factory, config, num_shards=1,
+                              granularity="replica", auto_heal=False,
+                              data_dir=str(tmp_path))
+            async with cluster:
+                shard = next(iter(cluster.kv.shards.values()))
+                async with cluster.session() as session:
+                    await session.put("k", "acked")
+                    for index in range(config.num_objects):
+                        cluster.kv.crash_replica("k", index)
+                        await self._await_restart(shard, index)
+                    return await asyncio.wait_for(session.get("k"), 10)
+
+        assert run(scenario()) == "acked"
+
+    def test_group_restart_heals_once(self, tmp_path):
+        """One restarted group child is one heal: one read of the
+        shard's keys, installed at all of its replicas."""
+
+        async def scenario():
+            cluster = Cluster(AtomicStorageProtocol, MULTIPROC,
+                              num_shards=1, granularity="group",
+                              data_dir=str(tmp_path))
+            async with cluster:
+                shard = next(iter(cluster.kv.shards.values()))
+                reads = []
+                read_for_install = shard.read_for_install
+
+                async def counted(keys):
+                    reads.append(len(keys))
+                    return await read_for_install(keys)
+
+                shard.read_for_install = counted
+                async with cluster.session() as session:
+                    for i in range(6):
+                        await session.put(f"k{i}", i)
+                    cluster.kv.crash_replica("k0", 0)
+                    await self._await_restart(shard, 0)
+                    for _ in range(100):
+                        if reads:
+                            break
+                        await asyncio.sleep(0.05)
+                    await asyncio.sleep(0.3)  # room for any further heal
+                    for i in range(6):
+                        assert await session.get(f"k{i}") == i
+                return reads
+
+        assert run(scenario()) == [6]
+
 
 # ---------------------------------------------------------------------------
 # conditional writes
@@ -312,6 +372,27 @@ class TestPutIf:
                     with pytest.raises(PreconditionFailedError):
                         await s.put_if("a", 99, tag)
                     assert await s.get("a") == 2
+
+        run(scenario())
+
+    def test_put_if_with_a_tag_read_before_add_shard(self):
+        """A handoff installs each moved key under the tag its last put
+        chose, so a tag read before the handoff still matches after."""
+        async def scenario():
+            async with Cluster(RegularStorageProtocol,
+                               SystemConfig.optimal(t=1, b=1),
+                               num_shards=2, seed=3) as cluster:
+                async with cluster.session() as s:
+                    keys = [f"key:{n}" for n in range(20)]
+                    await s.put_many({key: 0 for key in keys})
+                    tags = {key: (await s.get_tagged(key))[1]
+                            for key in keys}
+                    report = await cluster.admin().add_shard()
+                    assert report.moved
+                    for key in report.moved:
+                        new_tag = await s.put_if(key, 1, tags[key])
+                        assert new_tag > tags[key]
+                        assert await s.get(key) == 1
 
         run(scenario())
 
