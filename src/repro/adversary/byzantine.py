@@ -344,10 +344,11 @@ class AckFlooder(ByzantineWrapper):
 
 class StaleTagForger(ByzantineWrapper):
     """Forges write tags in MWMR traffic: lies about the maximum tag it
-    holds (tag discovery) and attributes its read-ack state to a stale
-    ``(epoch, writer_id)`` tag.
+    holds (tag-query acks, and the top tag of PW acks that a writer
+    checks its guessed tag against) and attributes its read-ack state
+    to a stale ``(epoch, writer_id)`` tag.
 
-    Against a correct MWMR protocol both lies are absorbed: tag discovery
+    Against a correct MWMR protocol both lies are absorbed: the writer
     takes the *maximum* over a quorum (one under-reporting object cannot
     lower it below any completed write's tag), and a forged stale
     candidate gathers at most ``b < b + 1`` confirmations so ``safe(c)``
@@ -387,6 +388,17 @@ class StaleTagForger(ByzantineWrapper):
                     epoch=self.forged_tag.epoch,
                     wid=self.forged_tag.writer_id,
                     register_id=payload.register_id,
+                )
+            elif isinstance(payload, PwAck):
+                # The same lie where a writer checks its guessed tag.
+                payload = PwAck(
+                    ts=payload.ts,
+                    object_index=payload.object_index,
+                    tsr=payload.tsr,
+                    top_epoch=self.forged_tag.epoch,
+                    top_wid=self.forged_tag.writer_id,
+                    register_id=payload.register_id,
+                    wid=payload.wid,
                 )
             elif isinstance(payload, ReadAck):
                 forged = self._stale_tuple()
@@ -464,7 +476,10 @@ class GarbageByzantine(ByzantineWrapper):
                     object_index=payload.object_index,
                     tsr=tuple(self._rng.randint(0, 5)
                               for _ in range(self.config.num_readers)),
+                    top_epoch=payload.top_epoch,
+                    top_wid=payload.top_wid,
                     register_id=payload.register_id,
+                    wid=payload.wid,
                 )
             out.append((receiver, payload))
         return out

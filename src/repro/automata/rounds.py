@@ -68,7 +68,7 @@ class RoundCollector(Generic[AckT]):
 
 
 class TagDiscovery:
-    """The MWMR read-timestamp phase, shared by every writer automaton.
+    """The MWMR read-timestamp phase of the ABD and authenticated writers.
 
     Before installing a value, a multi-writer writer broadcasts a tag
     query, collects a quorum of ``(epoch, writer_id)`` tags, and picks

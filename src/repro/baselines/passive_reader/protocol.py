@@ -8,7 +8,7 @@ from typing import Any, Dict, List, Optional
 from ...automata.base import (ClientOperation, MultiRegisterObject,
                               Outgoing)
 from ...config import SystemConfig
-from ...core.safe.object import SafeObject
+from ...core.safe.object import SafeObject, SafeSlot
 from ...core.safe.predicates import CandidateTracker
 from ...core.safe.reader import install_write_back
 from ...core.safe.writer import SafeWriterState, SafeWriteOperation
@@ -34,6 +34,8 @@ class PassiveSlot:
     @property
     def tag(self) -> WriterTag:
         return WriterTag(self.ts, self.wid)
+
+    top_tag = SafeSlot.top_tag
 
 
 class PassiveObject(MultiRegisterObject):
@@ -78,6 +80,7 @@ class PassiveObject(MultiRegisterObject):
                                     message.ts, message.wid)
         if isinstance(message, Pw):
             slot = self._slot(message.register_id)
+            top = slot.top_tag()  # before this pre-write
             if message.tag > slot.tag:
                 slot.ts = message.ts
                 slot.wid = message.wid
@@ -90,6 +93,7 @@ class PassiveObject(MultiRegisterObject):
             return [(sender, PwAck(
                 ts=message.ts, object_index=self.object_index,
                 tsr=(0,) * self.config.num_readers,
+                top_epoch=top.epoch, top_wid=top.writer_id,
                 register_id=message.register_id, wid=message.wid))]
         if isinstance(message, W):
             slot = self._slot(message.register_id)
@@ -107,8 +111,7 @@ class PassiveObject(MultiRegisterObject):
                                       register_id=message.register_id,
                                       wid=message.wid))]
         if isinstance(message, TagQuery):
-            slot = self._slot(message.register_id)
-            top = max(slot.tag, slot.pw.tag, slot.w.tag)
+            top = self._slot(message.register_id).top_tag()
             return [(sender, TagQueryAck(
                 nonce=message.nonce, object_index=self.object_index,
                 epoch=top.epoch, wid=top.writer_id,

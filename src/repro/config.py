@@ -163,7 +163,7 @@ class SystemConfig:
 
     @property
     def is_multi_writer(self) -> bool:
-        """Whether protocols must run the MWMR tag-discovery write path."""
+        """Whether writers must choose tags by the MWMR write path."""
         return self.num_writers > 1
 
     # -- process enumeration -------------------------------------------------

@@ -17,7 +17,12 @@ the optimization experiment E6 quantifies.
 In multi-writer systems stale-tagged write rounds are acknowledged (and
 recorded -- history is a map, concurrent writers' entries coexist) so a
 writer that lost the epoch race still terminates; single-writer systems
-keep the figure's no-reply discipline for stale traffic.
+keep the figure's no-reply discipline for stale traffic.  A PW ack
+reports the top tag from before the pre-write was recorded: the
+multi-writer writer's check of its guessed tag.  A guess that fails
+leaves a ``<pw, nil>`` entry behind, like a writer crashing between
+its PW and W rounds; readers only take candidates from complete
+tuples, so no read returns it.
 
 As with the safe object, all of this state is kept *per register* in
 lazily created slots, so one replica set serves many registers.
@@ -56,9 +61,10 @@ class RegularSlot:
     history: Dict[WriterTag, HistoryEntry]
     tsr: List[int]
     wid: int = 0
-    #: memoized ``(len(history), max(history))`` -- tag arbitration asks
-    #: for the top tag on every TagQuery, and history keys only ever
-    #: accumulate, so the max is stable while the key count is.
+    #: memoized ``(len(history), max(history))`` -- every PW ack, tag
+    #: query and lease probe reports the top tag, and history keys only
+    #: ever accumulate, so the max is stable while the key count is
+    #: (:meth:`record` carries it past the handlers' own insertions).
     _top_key: Optional[Tuple[int, WriterTag]] = None
 
     @property
@@ -78,6 +84,17 @@ class RegularSlot:
                                    and self.wid > top.writer_id):
             return WriterTag(self.ts, self.wid)
         return top
+
+    def record(self, tag: WriterTag, entry: HistoryEntry) -> None:
+        """``history[tag] = entry``.  A top-tag memo that was current
+        stays current, so the next PW ack reports its top without
+        rescanning the history (a rescan per write is O(writes))."""
+        history = self.history
+        cached = self._top_key
+        n = len(history)
+        history[tag] = entry
+        if cached is not None and cached[0] == n and len(history) > n:
+            self._top_key = (n + 1, max(cached[1], tag))
 
 
 class RegularObject(MultiRegisterObject):
@@ -168,7 +185,7 @@ class RegularObject(MultiRegisterObject):
                 append(reply)
         return leftovers
 
-    # -- MWMR tag discovery ----------------------------------------------
+    # -- MWMR tag queries ------------------------------------------------
     def _tag_reply(self, message: TagQuery) -> TagQueryAck:
         slot = self._slot(message.register_id)
         top = slot.top_tag()
@@ -213,6 +230,7 @@ class RegularObject(MultiRegisterObject):
         fresh = (message.ts > slot.ts
                  or (message.ts == slot.ts and message.wid > slot.wid))
         if fresh or self.config.is_multi_writer:
+            top = slot.top_tag()  # before this pre-write: the writer's check
             # The tag via the (shared, cached) pw pair: one WriterTag per
             # broadcast instead of one per receiving object.  Honest
             # writers always agree; a forged frame whose pair disagrees
@@ -229,18 +247,19 @@ class RegularObject(MultiRegisterObject):
             # after that write's own W round.
             existing = slot.history.get(tag)
             if existing is None or existing.w is None:
-                slot.history[tag] = HistoryEntry(pw=message.pw, w=None)
+                slot.record(tag, HistoryEntry(pw=message.pw, w=None))
             prev_tag = message.w.tag
             prev = slot.history.get(prev_tag)
             if prev is None or prev.w is None:
-                slot.history[prev_tag] = HistoryEntry(pw=message.w.tsval,
-                                                      w=message.w)
+                slot.record(prev_tag, HistoryEntry(pw=message.w.tsval,
+                                                   w=message.w))
             if fresh:
                 slot.ts = message.ts
                 slot.wid = message.wid
             return PwAck(ts=message.ts,
                          object_index=self.object_index,
                          tsr=tuple(slot.tsr),
+                         top_epoch=top.epoch, top_wid=top.writer_id,
                          register_id=message.register_id,
                          wid=message.wid)
         return None
@@ -262,7 +281,7 @@ class RegularObject(MultiRegisterObject):
             tag = message.pw.tag
             if tag.epoch != message.ts or tag.writer_id != message.wid:
                 tag = WriterTag(message.ts, message.wid)
-            slot.history[tag] = HistoryEntry(pw=message.pw, w=message.w)
+            slot.record(tag, HistoryEntry(pw=message.pw, w=message.w))
             return WriteAck(ts=message.ts,
                             object_index=self.object_index,
                             register_id=message.register_id,
@@ -272,11 +291,11 @@ class RegularObject(MultiRegisterObject):
     def _write_back_reply(self, message: WriteBack) -> WriteBackAck:
         """Fill slot ``c.tag`` unless a complete entry holds it; always
         acknowledged (the sender needs *at least* this information)."""
-        history = self._slot(message.register_id).history
-        entry = history.get(message.c.tag)
+        slot = self._slot(message.register_id)
+        entry = slot.history.get(message.c.tag)
         if entry is None or entry.w is None:
-            history[message.c.tag] = HistoryEntry(pw=message.c.tsval,
-                                                  w=message.c)
+            slot.record(message.c.tag, HistoryEntry(pw=message.c.tsval,
+                                                    w=message.c))
         return WriteBackAck(nonce=message.nonce,
                             object_index=self.object_index,
                             register_id=message.register_id)

@@ -18,9 +18,11 @@ Acknowledgment discipline depends on the writer model.  With the paper's
 single writer, stale or replayed write traffic earns no reply at all,
 exactly as in the figure -- the sole writer's own rounds are always fresh.
 With multiple writers a stale-tagged round is *normal* (the concurrent
-writer that lost the epoch race), so the object acknowledges without
-adopting; refusing would starve the losing writer forever.  Tag queries
-(the MWMR read-timestamp phase) are always answered.
+writer that lost the epoch race, or a writer whose guessed tag was
+too low), so the object acknowledges without adopting; refusing would
+starve the losing writer forever.  Every PW ack reports the highest tag
+the object held before that pre-write, which is how a multi-writer
+writer checks its guessed tag.  Tag queries are always answered.
 
 One automaton serves arbitrarily many logical registers: protocol state
 lives in per-register slots keyed by the messages' ``register_id``
@@ -60,6 +62,10 @@ class SafeSlot:
     @property
     def tag(self) -> WriterTag:
         return WriterTag(self.ts, self.wid)
+
+    def top_tag(self) -> WriterTag:
+        """The highest tag the slot holds in any field."""
+        return max(self.tag, self.pw.tag, self.w.tag)
 
 
 class SafeObject(MultiRegisterObject):
@@ -147,10 +153,9 @@ class SafeObject(MultiRegisterObject):
                 append(reply)
         return leftovers
 
-    # -- MWMR tag discovery ----------------------------------------------
+    # -- MWMR tag queries ------------------------------------------------
     def _tag_reply(self, message: TagQuery) -> TagQueryAck:
-        slot = self._slot(message.register_id)
-        top = max(slot.tag, slot.pw.tag, slot.w.tag)
+        top = self._slot(message.register_id).top_tag()
         return TagQueryAck(nonce=message.nonce,
                            object_index=self.object_index,
                            epoch=top.epoch, wid=top.writer_id,
@@ -166,6 +171,7 @@ class SafeObject(MultiRegisterObject):
         slot = self.slots.get(message.register_id)
         if slot is None:
             slot = self.slots[message.register_id] = self._new_slot()
+        top = slot.top_tag()  # before this pre-write: the writer's check
         # Tag comparison inlined (epoch first, writer id tie-break): this
         # guard runs per message and tuple construction is measurable.
         if message.ts > slot.ts or (message.ts == slot.ts
@@ -180,7 +186,8 @@ class SafeObject(MultiRegisterObject):
         elif not self.config.is_multi_writer:
             return None  # figure semantics: stale traffic earns no reply
         return PwAck(ts=message.ts, object_index=self.object_index,
-                     tsr=tuple(slot.tsr),
+                     tsr=tuple(slot.tsr), top_epoch=top.epoch,
+                     top_wid=top.writer_id,
                      register_id=message.register_id, wid=message.wid)
 
     # -- lines 8-12 ------------------------------------------------------

@@ -10,15 +10,20 @@ The SWMR WRITE proceeds in exactly two rounds:
   embeds the collected reader-timestamp snapshot.  Readers later use that
   snapshot to expose Byzantine objects (the ``conflict`` predicate).
 
-With multiple writers (``config.num_writers > 1``) a **TAG** round is
-prepended: the writer queries a quorum for the highest ``(epoch,
-writer_id)`` tag, bumps the epoch, and tie-breaks with its own writer id
--- the classic MWMR read-timestamp phase.  Quorum intersection with any
-completed write's W round contains at least ``b + 1`` objects at optimal
-resilience, so at least one correct object reports a tag at least as high
-as any completed write's; real-time write order therefore maps to tag
-order.  Single-writer systems skip the round entirely and keep the
-paper's exact 2-round WRITE.
+With multiple writers (``config.num_writers > 1``) the writer *guesses*
+its tag, ``(ts + 1, own writer id)`` from its own per-register floor
+``ts``, and checks the guess inside the PW round: every PW ack reports
+the object's highest tag from before that pre-write.  If all ``S - t``
+reported tops are below the guess, the write goes straight to W -- two
+rounds, the paper's count.  Otherwise another writer got there first:
+one more PW goes out at ``(max reported top).epoch + 1`` with no second
+check, then W -- three rounds.  Safety is the quorum-intersection
+argument of the classic MWMR read-tag phase: a completed write's W
+reached ``S - t`` objects, any ``S - t`` PW acks overlap that set in
+``S - 2t - b >= 1`` correct objects, so a guess every reported top is
+below exceeds every completed write's tag.  An inflated Byzantine
+report costs at most the one extra PW, and the pre-write a failed guess
+leaves behind is a ``<pw, nil>`` entry no reader returns.
 
 The writer's persistent variables (``ts`` and the last installed ``w``)
 live in :class:`SafeWriterState`, shared across that writer's operations,
@@ -31,16 +36,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ...automata.base import ClientOperation, Outgoing, Sink
-from ...automata.rounds import TagDiscovery
 from ...config import SystemConfig
 from ...errors import FencedWriteError, ProtocolError
-from ...messages import (Message, Pw, PwAck, TagQuery, TagQueryAck, W,
-                         WriteAck, WriteFenced)
-from ...types import (ProcessId, TimestampValue, TsrArray, WriterTag,
+from ...messages import Pw, PwAck, W, WriteAck, WriteFenced
+from ...types import (TAG0, ProcessId, TimestampValue, TsrArray, WriterTag,
                       WriteTuple, _Bottom, initial_write_tuple, writer)
 
 #: Phase names for tracing/assertions.
-PHASE_TAG = "TAG"
 PHASE_PW = "PW"
 PHASE_W = "W"
 
@@ -83,14 +85,16 @@ class SafeWriteOperation(ClientOperation):
         self.config = state.config
         self.value = value
         self.wid = state.writer_index
-        #: MWMR systems prepend the tag-discovery round; the single-writer
-        #: system trusts the local monotone counter, exactly as the paper.
-        self.discover_tag = state.config.is_multi_writer
-        self.phase = PHASE_TAG if self.discover_tag else PHASE_PW
+        #: MWMR systems check the guessed tag in the first PW round; the
+        #: single-writer system trusts the local monotone counter,
+        #: exactly as the paper.
+        self.check_tag = state.config.is_multi_writer
+        self.phase = PHASE_PW
         self.ts: int = 0
         self.pw: TimestampValue = None  # type: ignore[assignment]
         self.current_tsrarray: TsrArray = None  # type: ignore[assignment]
-        self.discovery: Optional[TagDiscovery] = None
+        #: the highest top tag the checked PW round's acks reported.
+        self._top: WriterTag = TAG0
         #: Line 11 evidence: object index -> reported tsr row.
         self._pw_rows: Dict[int, Tuple[Optional[int], ...]] = {}
         self._w_ackers: Set[int] = set()
@@ -104,6 +108,7 @@ class SafeWriteOperation(ClientOperation):
         self.ts = epoch
         self.pw = TimestampValue(self.ts, self.value, wid=self.wid)
         self.tag = self.pw.tag
+        self._pw_rows = {}
         # Line 5: PW carries the new pair plus the *previous* write tuple,
         # so laggards catch up on the last complete write.
         self.begin_round()
@@ -112,19 +117,8 @@ class SafeWriteOperation(ClientOperation):
 
     # -- vector rounds -----------------------------------------------------
     def start_vector(self, sink: Sink, leftovers: Outgoing) -> None:
-        if self.discover_tag:
-            # MWMR round 0: learn the highest installed tag from a quorum.
-            self.discovery = TagDiscovery(
-                nonce=self.operation_id,
-                quorum=self.config.quorum_size,
-                writer_id=self.wid,
-                floor=WriterTag(self.state.ts, self.wid),
-            )
-            self.begin_round()
-            sink.append(TagQuery(nonce=self.operation_id,
-                                 register_id=self.register_id))
-            return
-        # Lines 3-4: inc(ts); the single writer's counter is authoritative.
+        # Lines 3-4: inc(ts).  The single writer's counter is
+        # authoritative; a multi-writer writer's is its guess.
         sink.append(self._start_pw_round(self.state.ts + 1))
 
     def absorb(self, sender: ProcessId, message: Any) -> None:
@@ -147,16 +141,15 @@ class SafeWriteOperation(ClientOperation):
                     tsr_row = (None,) * self.config.num_readers
                 # Line 11: currenttsrarray[i] := tsr.
                 self._pw_rows[sender.index] = tsr_row
+                if self.check_tag:
+                    top = message.top
+                    if top > self._top:
+                        self._top = top
         elif kind is WriteAck:
             if (self.phase == PHASE_W and message.ts == self.ts
                     and message.wid == self.wid
                     and message.register_id == self.register_id):
                 self._w_ackers.add(sender.index)
-        elif kind is TagQueryAck:
-            if (self.phase == PHASE_TAG and self.discovery is not None
-                    and message.register_id == self.register_id):
-                self.discovery.offer(sender.index, message.nonce,
-                                     message.tag)
         elif kind is WriteFenced:
             if (message.register_id == self.register_id
                     and message.epoch == self.ts
@@ -181,19 +174,22 @@ class SafeWriteOperation(ClientOperation):
                 f"(epoch {self.ts}) refused by epoch fence "
                 f"{self._fence_epoch_seen}: the register was handed off; "
                 f"re-route and retry")
-        phase = self.phase
-        if phase == PHASE_PW:
+        if self.phase == PHASE_PW:
             # Line 6: proceed after S - t distinct acks.
             if len(self._pw_rows) >= self.config.quorum_size:
+                if self.check_tag:
+                    self.check_tag = False
+                    if self._top >= self.tag:
+                        # Another writer got there first: pre-write once
+                        # more above every reported top (and so above
+                        # the floor the guess exceeded), unchecked.
+                        sink.append(self._start_pw_round(
+                            self._top.epoch + 1))
+                        return
                 sink.append(self._start_w_round())
-        elif phase == PHASE_W:
-            # Lines 9-10: S - t acks complete the WRITE.
-            if len(self._w_ackers) >= self.config.quorum_size:
-                self.complete("OK")
-        elif phase == PHASE_TAG:
-            if self.discovery is not None and self.discovery.ready():
-                sink.append(
-                    self._start_pw_round(self.discovery.chosen_tag().epoch))
+        # Lines 9-10: S - t acks complete the WRITE.
+        elif len(self._w_ackers) >= self.config.quorum_size:
+            self.complete("OK")
 
     def _start_w_round(self) -> W:
         # Line 7: freeze w := <pw, currenttsrarray> (persists for the next

@@ -124,14 +124,29 @@ class Pw(Message):
 
 @dataclass(frozen=True, slots=True)
 class PwAck(Message):
-    """``PW_ACK_i<ts, tsr>``: object ``i`` reports its reader timestamps."""
+    """``PW_ACK_i<ts, tsr, top>``: object ``i`` reports its reader
+    timestamps and its highest write tag from *before* it recorded this
+    pre-write.
+
+    ``top_epoch``/``top_wid`` are the check of the MWMR write's guessed
+    tag (:mod:`repro.core.safe.writer`).  They have no default: an
+    object that forgot them would report the zero tag and make every
+    guess pass.
+    """
 
     ts: int
     object_index: int
     tsr: Tuple[int, ...]
+    top_epoch: int
+    top_wid: int
     register_id: str = DEFAULT_REGISTER
     wid: int = 0
-    wire = (3, "ts:i64 wid:u32 object_index:u32 tsr:cells register_id:str")
+    wire = (3, "ts:i64 wid:u32 object_index:u32 top_epoch:i64 top_wid:u32 "
+               "tsr:cells register_id:str")
+
+    @property
+    def top(self) -> WriterTag:
+        return WriterTag(self.top_epoch, self.top_wid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +205,7 @@ class WriteBackAck(Message):
 
 
 # ---------------------------------------------------------------------------
-# Tag discovery (MWMR write path, round 0)
+# Tag discovery (the baselines' MWMR write path, round 0)
 # ---------------------------------------------------------------------------
 
 
@@ -198,10 +213,14 @@ class WriteBackAck(Message):
 class TagQuery(Message):
     """Writer-to-object: report the highest write tag you hold.
 
-    The MWMR read-timestamp phase: before installing a value a writer asks
-    a quorum for the maximum ``(epoch, writer_id)`` tag, bumps the epoch,
-    and tie-breaks with its own writer id.  ``nonce`` matches acks to the
-    issuing operation (operation ids are process-wide unique).
+    The MWMR read-timestamp phase of the ABD and authenticated
+    baselines: before installing a value a writer asks a quorum for the
+    maximum ``(epoch, writer_id)`` tag, bumps the epoch, and tie-breaks
+    with its own writer id.  (The core writer checks a guessed tag in
+    its PW round instead; every object still answers the query, which
+    also serves as the supervisor's health probe.)  ``nonce`` matches
+    acks to the issuing operation (operation ids are process-wide
+    unique).
     """
 
     nonce: int
@@ -545,7 +564,8 @@ def summarize(message: Message) -> str:
     if isinstance(message, Pw):
         return f"PW<ts={message.ts}, pw={message.pw!r}>"
     if isinstance(message, PwAck):
-        return f"PW_ACK(s{message.object_index + 1}, ts={message.ts})"
+        return (f"PW_ACK(s{message.object_index + 1}, ts={message.ts}, "
+                f"top={message.top!r})")
     if isinstance(message, W):
         return f"W<ts={message.ts}, pw={message.pw!r}>"
     if isinstance(message, WriteAck):

@@ -48,9 +48,12 @@ class StorageProtocol(ABC):
     def write_rounds_bound(self, config: SystemConfig) -> int:
         """Worst-case write rounds under ``config``.
 
-        Multi-writer systems prepend the tag-discovery round to every
-        WRITE; the advertised ``write_rounds_worst_case`` is the paper's
-        single-writer figure.
+        The advertised ``write_rounds_worst_case`` is the paper's
+        single-writer figure.  A multi-writer WRITE can take one round
+        more: the core writer when its guessed tag is beaten (another
+        writer wrote the register since, or a Byzantine object inflated
+        its report), the baselines on every write (tag discovery).  An
+        uncontended core MWMR write takes the single-writer figure.
         """
         extra = 1 if config.is_multi_writer else 0
         return self.write_rounds_worst_case + extra

@@ -165,8 +165,11 @@ class ReconfigCoordinator:
     lives in the store (ring, shard map, object automata).  Fence and
     install traffic runs over each shard store's shared control host, so
     any number of coordinators may exist without double-binding inboxes.
-    Heals and application traffic may overlap each other and a handoff;
-    two shard-set changes may not overlap.
+    Heals and application traffic may overlap each other and a handoff.
+    Shard-set changes run one after another: each holds the store's
+    ``shard_set_lock`` from deriving its new ring until its flip (and,
+    for a drain, until the drained group stopped), so a second change
+    waits and then starts from the ring the first one left.
 
     Failure semantics: if a shard-set change raises midway (e.g. a
     timeout), routing has *not* flipped and fences remain installed on
@@ -210,27 +213,28 @@ class ReconfigCoordinator:
         where it is and keeps serving throughout.
         """
         kv = self.kv
-        if shard_id is None:
-            # Never implicitly reuse a drained group's id: external state
-            # keyed by shard id (reports, logs, seeds) must not conflate
-            # a retired group with a fresh one.
-            shard_id = max(set(kv.shards) | kv.retired_shard_ids) + 1
-        new_ring = kv.ring.add_shard(shard_id)
-        sid = (set(new_ring.shard_ids) - set(kv.ring.shard_ids)).pop()
-        created = store is None
-        store = store if store is not None else kv.make_shard_store(sid)
-        await store.start()
-        shards_after = dict(kv.shards)
-        shards_after[sid] = store
-        report = ReconfigReport(operation="add-shard", shard_id=sid)
-        try:
-            await self._migrate(new_ring, shards_after, report)
-        except BaseException:
-            if created:  # don't leak the replica tasks we spawned
-                await store.stop()
-            raise
-        await self._maybe_hook("flip", None)
-        self._flip(new_ring, shards_after, report)
+        async with kv.shard_set_lock:
+            if shard_id is None:
+                # Never implicitly reuse a drained group's id: external
+                # state keyed by shard id (reports, logs, seeds) must not
+                # conflate a retired group with a fresh one.
+                shard_id = max(set(kv.shards) | kv.retired_shard_ids) + 1
+            new_ring = kv.ring.add_shard(shard_id)
+            sid = (set(new_ring.shard_ids) - set(kv.ring.shard_ids)).pop()
+            created = store is None
+            store = store if store is not None else kv.make_shard_store(sid)
+            await store.start()
+            shards_after = dict(kv.shards)
+            shards_after[sid] = store
+            report = ReconfigReport(operation="add-shard", shard_id=sid)
+            try:
+                await self._migrate(new_ring, shards_after, report)
+            except BaseException:
+                if created:  # don't leak the replica tasks we spawned
+                    await store.stop()
+                raise
+            await self._maybe_hook("flip", None)
+            self._flip(new_ring, shards_after, report)
         return report
 
     async def remove_shard(self, shard_id: int) -> ReconfigReport:
@@ -240,20 +244,23 @@ class ReconfigCoordinator:
         flipped the drained store is stopped.
         """
         kv = self.kv
-        if shard_id not in kv.shards:
-            raise ConfigurationError(f"no shard group {shard_id}")
-        new_ring = kv.ring.remove_shard(shard_id)
-        shards_after = {sid: s for sid, s in kv.shards.items()
-                        if sid != shard_id}
-        report = ReconfigReport(operation="remove-shard", shard_id=shard_id)
-        await self._migrate(new_ring, shards_after, report)
-        await self._maybe_hook("flip", None)
-        drained = kv.shards[shard_id]
-        self._flip(new_ring, shards_after, report)
-        # Operations admitted to the drained group before the flip must
-        # finish before its hosts go away, or they would fail spuriously.
-        await drained.quiesce()
-        await drained.stop()
+        async with kv.shard_set_lock:
+            if shard_id not in kv.shards:
+                raise ConfigurationError(f"no shard group {shard_id}")
+            new_ring = kv.ring.remove_shard(shard_id)
+            shards_after = {sid: s for sid, s in kv.shards.items()
+                            if sid != shard_id}
+            report = ReconfigReport(operation="remove-shard",
+                                    shard_id=shard_id)
+            await self._migrate(new_ring, shards_after, report)
+            await self._maybe_hook("flip", None)
+            drained = kv.shards[shard_id]
+            self._flip(new_ring, shards_after, report)
+            # Operations admitted to the drained group before the flip
+            # must finish before its hosts go away, or they would fail
+            # spuriously.
+            await drained.quiesce()
+            await drained.stop()
         return report
 
     # -- replica repair -----------------------------------------------------
@@ -373,10 +380,10 @@ class ReconfigCoordinator:
         target writer's floor is then raised to the epoch that writer
         last chose (or was seeded with) at the source.  That is at least
         the installed tag's epoch when the writer chose that tag, and
-        single-writer protocols discover no tags, so a post-flip put
-        lands above the installed tag.  It also takes no tag a refused
-        source write took.  Seeding creates the key's client state at
-        the target, which later heals enumerate.
+        single-writer protocols neither discover nor check tags, so a
+        post-flip put lands above the installed tag.  It also takes no
+        tag a refused source write took.  Seeding creates the key's
+        client state at the target, which later heals enumerate.
         """
         kv = self.kv
         for (src, dst), keys in _grouped(report.moved).items():

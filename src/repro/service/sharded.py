@@ -122,6 +122,9 @@ class ShardedKVStore:
         #: ids of drained shard groups -- never implicitly reused, so
         #: logs/reports/seeds keyed by shard id stay unambiguous.
         self.retired_shard_ids: set = set()
+        #: held by each shard-set change from deriving its new ring to
+        #: its flip (and drain): the changes run one after another.
+        self.shard_set_lock = asyncio.Lock()
         self._started = False
 
     def make_shard_store(self, shard_id: int) -> MultiRegisterStore:

@@ -449,7 +449,8 @@ class MultiRegisterStore:
 
         The next WRITE to ``register_id`` by that writer uses an epoch
         ``> epoch``: single-writer protocols bump the seeded counter,
-        multi-writer tag discovery uses it as its floor.  A handoff's
+        the core multi-writer writer guesses its tag above it, and the
+        baselines' tag discovery uses it as its floor.  A handoff's
         flip seeds each target writer with its :meth:`writer_epoch` at
         the source.
         """

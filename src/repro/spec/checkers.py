@@ -71,7 +71,7 @@ def check_safety(history: History) -> CheckResult:
     With a single writer the "last" preceding WRITE is the latest by
     invocation order; with multiple writers it is the maximal-*tag* one
     (writes not concurrent with the read are totally ordered by their
-    tags, which the tag-discovery write path aligns with real time).
+    tags, which the MWMR write paths align with real time).
     """
     result = CheckResult("safety")
     multi = history.is_multi_writer

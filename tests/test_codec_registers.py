@@ -30,8 +30,8 @@ class TestRegisterFieldRoundTrips:
         messages = [
             Pw(ts=3, pw=wtuple.tsval, w=wtuple, register_id=register_id),
             W(ts=3, pw=wtuple.tsval, w=wtuple, register_id=register_id),
-            PwAck(ts=3, object_index=1, tsr=(0, 2),
-                  register_id=register_id),
+            PwAck(ts=3, object_index=1, tsr=(0, 2), top_epoch=2,
+                  top_wid=0, register_id=register_id),
             WriteAck(ts=3, object_index=2, register_id=register_id),
             ReadRequest(round_index=1, tsr=5, reader_index=0,
                         register_id=register_id),
@@ -100,8 +100,8 @@ class TestRegisterFieldRoundTrips:
             Pw(ts=3, pw=wtuple.tsval, w=wtuple, register_id="k",
                wid=7),
             W(ts=3, pw=wtuple.tsval, w=wtuple, register_id="k", wid=7),
-            PwAck(ts=3, object_index=1, tsr=(0, 2), register_id="k",
-                  wid=7),
+            PwAck(ts=3, object_index=1, tsr=(0, 2), top_epoch=2,
+                  top_wid=5, register_id="k", wid=7),
             WriteAck(ts=3, object_index=2, register_id="k", wid=7),
         ]:
             decoded = roundtrip(message)
@@ -117,7 +117,8 @@ class TestBatchCodec:
     def test_batch_roundtrip(self, wtuple):
         batch = Batch(messages=(
             WriteAck(ts=1, object_index=0, register_id="a"),
-            PwAck(ts=2, object_index=0, tsr=(0,), register_id="b"),
+            PwAck(ts=2, object_index=0, tsr=(0,), top_epoch=1,
+                  top_wid=0, register_id="b"),
             ReadRequest(round_index=1, tsr=3, reader_index=0,
                         register_id="c"),
         ))

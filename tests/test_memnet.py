@@ -113,10 +113,11 @@ class TestOneDriver:
                 get = store.network.messages_sent - sent
                 return put, get, value
 
-        # An MWMR put is tag discovery, PW and W: three request/ack
-        # rounds; an uncontended get decides on round one.
+        # An uncontended MWMR put is PW (checking its guessed tag) and
+        # W: two request/ack rounds; an uncontended get decides on
+        # round one.
         s = MWMR.num_objects
-        assert run(scenario()) == (6 * s, 2 * s, "v")
+        assert run(scenario()) == (4 * s, 2 * s, "v")
 
     def test_cancelled_run_withdraws_its_operation(self):
         async def scenario():

@@ -1,27 +1,33 @@
 """Multi-writer (MWMR) registers: tags end-to-end.
 
 Covers the MWMR refactor across every layer: writer-tag types, the
-tag-discovery write path, tag arbitration in the object automata, the
-tag-based checkers, the wire codec, Byzantine stale-tag forgery, and the service tier
-accepting writes from any client host.
+guessed-tag write path (and the baselines' tag discovery), tag
+arbitration in the object automata, the tag-based checkers, the wire
+codec, Byzantine stale-tag forgery, and the service tier accepting
+writes from any client host.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
 from repro import (StorageSystem, SystemConfig, TAG0, WriterTag, writer,
                    WRITER)
-from repro.adversary.byzantine import StaleTagForger
+from repro.adversary.byzantine import (ByzantineWrapper, GarbageByzantine,
+                                      StaleTagForger)
 from repro.automata.rounds import TagDiscovery
 from repro.baselines.abd.protocol import AbdAtomicProtocol
 from repro.baselines.authenticated.protocol import AuthenticatedProtocol
 from repro.core.regular import (CachedRegularStorageProtocol,
                                 RegularStorageProtocol)
-from repro.core.safe import SafeStorageProtocol
+from repro.core.atomic import AtomicStorageProtocol
+from repro.core.safe import SafeStorageProtocol, SafeWriteOperation
+from repro.core.safe.object import SafeObject
 from repro.core.safe.predicates import CandidateTracker
 from repro.errors import BackpressureError, ConfigurationError
-from repro.messages import (HistoryEntry, Pw, TagQuery, TagQueryAck, W)
+from repro.messages import (HistoryEntry, Pw, PwAck, TagQuery, TagQueryAck,
+                            W)
 from repro.runtime.codec import decode_message_binary, encode_message_binary
 from repro.service import MultiRegisterStore, ShardedKVStore
 from repro.spec import (check_atomicity, check_mwmr_atomicity,
@@ -134,12 +140,12 @@ class TestMultiWriterSim:
         assert system.read(0) == "second"
         check_safety(system.history).assert_ok()
 
-    def test_mwmr_write_uses_extra_round(self):
+    def test_uncontended_mwmr_write_takes_two_rounds(self):
         config = SystemConfig.optimal(t=1, b=1, num_writers=2)
         protocol = SafeStorageProtocol()
         system = StorageSystem(protocol, config)
         handle = system.write("v", writer_index=1)
-        assert handle.rounds_used == 3  # TAG + PW + W
+        assert handle.rounds_used == 2  # PW (checking the guess) + W
         assert protocol.write_rounds_bound(config) == 3
 
     def test_swmr_write_path_unchanged(self):
@@ -154,6 +160,93 @@ class TestMultiWriterSim:
         protocol = FastReadProtocol()
         with pytest.raises(ConfigurationError):
             protocol.make_writer_state_for(config, writer_index=1)
+
+
+# ---------------------------------------------------------------------------
+# The write path: a guessed tag, checked in the PW round
+# ---------------------------------------------------------------------------
+
+
+class TagInflater(ByzantineWrapper):
+    """Reports a PW-ack top ``boost`` epochs above every pre-write it
+    acknowledges, so every guess it answers looks beaten."""
+
+    def __init__(self, inner, config, boost=1000):
+        super().__init__(inner, config)
+        self.boost = boost
+
+    def transform(self, sender, message, replies):
+        return [(receiver, dataclasses.replace(
+                    payload, top_epoch=payload.ts + self.boost)
+                 if isinstance(payload, PwAck) else payload)
+                for receiver, payload in replies]
+
+
+class UncheckedWrite(SafeWriteOperation):
+    """A planted mutant: installs its guessed tag without the check."""
+
+    def __init__(self, state, value):
+        super().__init__(state, value)
+        self.check_tag = False
+
+
+class UncheckedAtomicProtocol(AtomicStorageProtocol):
+    def make_write(self, writer_state, value):
+        return UncheckedWrite(writer_state, value)
+
+
+PROTOCOLS = [SafeStorageProtocol, RegularStorageProtocol,
+             AtomicStorageProtocol]
+
+
+class TestGuessedTagWrites:
+    CONFIG = SystemConfig.optimal(t=1, b=1, num_readers=2, num_writers=2)
+
+    @pytest.mark.parametrize("protocol_cls", PROTOCOLS)
+    def test_a_beaten_guess_costs_one_round_once(self, protocol_cls):
+        """The first write after another writer's takes 3 rounds; the
+        same writer's next write guesses above it again: 2 rounds."""
+        system = StorageSystem(protocol_cls(), self.CONFIG)
+        rounds = [system.write(value, writer_index=index).rounds_used
+                  for value, index in (("a", 1), ("b", 0), ("c", 0),
+                                       ("d", 1), ("e", 1))]
+        assert rounds == [2, 3, 2, 3, 2]
+        assert system.read(0) == "e"
+        tags = [w.tag for w in system.history.writes()]
+        assert tags == sorted(tags) and len(set(tags)) == len(tags)
+        check_atomicity(system.history).assert_ok()
+
+    @pytest.mark.parametrize("protocol_cls", PROTOCOLS)
+    def test_over_reporting_forger_costs_at_most_one_round(self,
+                                                          protocol_cls):
+        protocol = protocol_cls()
+        system = StorageSystem(protocol, self.CONFIG)
+        target = obj(0)
+        system.kernel.make_byzantine(
+            target, TagInflater(system.kernel.object_automaton(target),
+                                self.CONFIG), note="tag-inflater")
+        handles = [system.write(f"v{n}", writer_index=n % 2)
+                   for n in range(4)]
+        assert [h.rounds_used for h in handles] == [3] * 4
+        assert all(h.rounds_used <= protocol.write_rounds_bound(self.CONFIG)
+                   for h in handles)
+        assert system.read(0) == "v3"
+        check_safety(system.history).assert_ok()
+
+    def test_unchecked_guess_breaks_atomicity(self):
+        """The check is what makes the guess safe: a writer that skips
+        it installs below a completed write of the other writer."""
+        def schedule(protocol):
+            system = StorageSystem(protocol, self.CONFIG)
+            system.write("w1-a", writer_index=1)
+            system.write("w1-b", writer_index=1)
+            system.write("w0", writer_index=0)
+            return system.read(0), check_mwmr_atomicity(system.history)
+
+        value, verdict = schedule(AtomicStorageProtocol())
+        assert value == "w0" and verdict.ok
+        value, verdict = schedule(UncheckedAtomicProtocol())
+        assert value == "w1-b" and not verdict.ok
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +311,37 @@ class TestStaleTagForgery:
         system.write("genuine-3", writer_index=1)
         assert system.read(0) == "genuine-3"
         check_safety(system.history).assert_ok()
+
+    def test_random_noise_keeps_pw_acks_addressed(self):
+        """Junk reader timestamps, but the tag fields a writer matches
+        and checks stay honest, so a rewritten ack reaches writer 1."""
+        config = SystemConfig.optimal(t=1, b=1, num_writers=2)
+        noise = GarbageByzantine(SafeObject(0, config), config, seed=3)
+        honest = PwAck(ts=5, object_index=0, tsr=(0,), top_epoch=4,
+                       top_wid=0, register_id="k", wid=1)
+        acks = [noise.transform(writer(1), None, [(writer(1), honest)])[0][1]
+                for _ in range(8)]
+        assert any(ack is not honest for ack in acks)
+        assert all((ack.ts, ack.wid, ack.top, ack.register_id)
+                   == (5, 1, WriterTag(4, 0), "k") for ack in acks)
+
+    def test_forged_top_reaches_the_writers_check(self):
+        """The forger tells its tag story in PW acks too: an inflated top
+        beats the honest writer's guess once, and the write lands above
+        the forged tag."""
+        config = SystemConfig.optimal(t=1, b=1, num_readers=2,
+                                      num_writers=2)
+        system = StorageSystem(RegularStorageProtocol(), config)
+        target = obj(0)
+        system.kernel.make_byzantine(target, StaleTagForger(
+            system.kernel.object_automaton(target), config,
+            forged_tag=WriterTag(50, 1)), note="stale-tag")
+        beaten = system.write("a", writer_index=0)
+        again = system.write("b", writer_index=0)
+        assert (beaten.rounds_used, again.rounds_used) == (3, 2)
+        assert [w.tag for w in system.history.writes()] == [
+            WriterTag(51, 0), WriterTag(52, 0)]
+        assert system.read(0) == "b"
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +482,6 @@ class TestMultiWriterService:
         """A write that times out after its W reached one replica is a
         pending, *tagged* record: a later read returning its value is
         not "a tag no write installed"."""
-        from repro.core.atomic import AtomicStorageProtocol
         from repro.messages import unbatch
 
         config = SystemConfig.optimal(t=1, b=1, num_writers=2)
@@ -514,6 +637,21 @@ class TestPerfSatellites:
             assert warm.is_eliminated(c) == cold.is_eliminated(c)
         assert warm.candidates() == cold.candidates()
         assert warm.high_candidates() == cold.high_candidates()
+
+    def test_top_tag_memo_survives_the_write_path(self):
+        """PW acks report the top tag on every write; the handlers'
+        own insertions keep its memo current, so no write rescans the
+        history, and the memo always equals the real maximum."""
+        config = SystemConfig.optimal(t=1, b=1, num_readers=1,
+                                      num_writers=2)
+        system = StorageSystem(RegularStorageProtocol(), config)
+        for n in range(12):
+            system.write(f"v{n}", writer_index=n // 3 % 2)
+        system.read(0)
+        for i in range(config.num_objects):
+            slot = system.kernel.object_automaton(obj(i)).slots["r0"]
+            assert slot._top_key == (len(slot.history), max(slot.history))
+            assert slot.top_tag() == max(max(slot.history), slot.tag)
 
     def test_history_entry_is_slotted(self):
         entry = HistoryEntry(pw=None, w=None)

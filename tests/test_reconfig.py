@@ -899,6 +899,51 @@ class TestOverlappingHeals:
         run(scenario())
 
 
+class TestShardSetChangesSerialise:
+    """``add_shard`` parked mid-handoff while ``remove_shard`` starts:
+    the second change waits for the first and derives its ring from the
+    one the first left.  Staged by the ``"snapshotted"`` hook; the only
+    waiting is on events and loop turns."""
+
+    MWMR = SystemConfig.optimal(t=1, b=1, num_writers=2)
+
+    def test_remove_waits_for_a_parked_add(self):
+        async def scenario():
+            kv = ShardedKVStore(AtomicStorageProtocol, self.MWMR,
+                                num_shards=2, record_history=True)
+            async with kv:
+                acked = {}
+                for n in range(20):
+                    await kv.put(f"k{n}", n, writer_index=n % 2)
+                    acked[f"k{n}"] = n
+                grown = kv.ring.add_shard()
+                both = next(k for k in sorted(acked)
+                            if kv.shard_for(k) == 0
+                            and grown.shard_for(k) == 2)
+                hook, parked, resume = _parking_hook(both)
+                add = asyncio.create_task(
+                    ReconfigCoordinator(kv, chaos_hook=hook).add_shard())
+                await parked.wait()
+                remove = asyncio.create_task(
+                    ReconfigCoordinator(kv).remove_shard(0))
+                # Let the drain run as far as it can without the add.
+                for _ in range(200):
+                    if remove.done():
+                        break
+                    await asyncio.sleep(0)
+                resume.set()
+                await add
+                await remove
+                assert set(kv.shards) == {1, 2}
+                for key, value in acked.items():
+                    assert await kv.get(key) == value, key
+                result = check_per_register(kv.history,
+                                            check_mwmr_atomicity)
+                assert result.ok, result.violations[:3]
+
+        run(scenario())
+
+
 class TestDrainQuiesces:
     def test_reads_in_flight_at_flip_complete(self, config):
         async def scenario():

@@ -38,7 +38,8 @@ class TestCodec:
     @pytest.mark.parametrize("factory", [
         lambda wt: Pw(ts=2, pw=wt.tsval, w=wt),
         lambda wt: W(ts=2, pw=wt.tsval, w=wt),
-        lambda wt: PwAck(ts=2, object_index=1, tsr=(0, 3)),
+        lambda wt: PwAck(ts=2, object_index=1, tsr=(0, 3),
+                         top_epoch=1, top_wid=0),
         lambda wt: WriteAck(ts=2, object_index=0),
         lambda wt: ReadRequest(round_index=1, tsr=4, reader_index=1),
         lambda wt: ReadRequest(round_index=2, tsr=5, reader_index=0,
@@ -86,7 +87,8 @@ class TestCodec:
          "ReadRequest.round_index"),
         (ReadRequest(round_index=1, tsr=1, reader_index=0,
                      from_ts=WriterTag(2**63 - 1, 0)), "ReadRequest.from_ts"),
-        (PwAck(ts=1, object_index=0, tsr=(2**63,)), "PwAck.tsr"),
+        (PwAck(ts=1, object_index=0, tsr=(2**63,), top_epoch=0, top_wid=0),
+         "PwAck.tsr"),
     ], ids=["tuple", "nonce", "round_index", "from_ts_epoch", "tsr_cell"])
     def test_unregistered_type_rejected(self, message, field):
         with pytest.raises(TransportError) as excinfo:

@@ -143,6 +143,7 @@ def messages(draw):
         return PwAck(ts=draw(epochs), object_index=draw(indexes),
                      tsr=tuple(draw(st.lists(
                          st.one_of(st.none(), epochs), max_size=4))),
+                     top_epoch=draw(epochs), top_wid=draw(wids),
                      register_id=register_id, wid=draw(wids))
     if kind == 3:
         return WriteAck(ts=draw(epochs), object_index=draw(indexes),
@@ -236,7 +237,10 @@ _SIGNED = Signer("writer").sign(TimestampValue(6, "s6"))
 
 #: One frame per kind byte, recorded from the hand-written codec the
 #: declarations replaced: the derived codec must reproduce every byte
-#: (write-ahead logs and snapshots keep frames as they arrived).
+#: (write-ahead logs and snapshots keep frames as they arrived).  The
+#: PwAck frames were re-recorded when PW acks gained the top tag the
+#: multi-writer writer checks its guess against (acks are replies, so
+#: no log or snapshot holds one).
 GOLDEN = [
     (Pw(ts=3, pw=TimestampValue(3, "v3", wid=2), w=_PREV, register_id="k",
             wid=2),
@@ -249,9 +253,10 @@ GOLDEN = [
      "0421000000000000000300000000000000000000000421000000000000000200"
      "02000100000000000000ffffffffffffffffffffffffffffffff040000000000"
      "0000"),
-    (PwAck(ts=4, object_index=2, tsr=(5, None, 7), register_id="k", wid=1),
-     "b1030400000000000000010000000200000003000500000000000000ffffffff"
-     "ffffffff0700000000000000ff010000006b"),
+    (PwAck(ts=4, object_index=2, tsr=(5, None, 7), top_epoch=3, top_wid=2,
+           register_id="k", wid=1),
+     "b103040000000000000001000000020000000300000000000000020000000300"
+     "0500000000000000ffffffffffffffff0700000000000000ff010000006b"),
     (WriteAck(ts=4, object_index=1, register_id="k", wid=3),
      "b10404000000000000000300000001000000ff010000006b"),
     (TagQuery(nonce=11, register_id="k"),
@@ -292,8 +297,10 @@ GOLDEN = [
      "00000000000000010000000701020002000100000000000000ffffffffffffff"
      "ffffffffffffffffff0400000000000000"),
     (Batch(messages=(  # the other side of every flag and option
-            PwAck(ts=4, object_index=0, tsr=(None,), register_id="k"),
-            PwAck(ts=4, object_index=1, tsr=(9,), register_id="k2"),
+            PwAck(ts=4, object_index=0, tsr=(None,), top_epoch=0,
+                  top_wid=0, register_id="k"),
+            PwAck(ts=4, object_index=1, tsr=(9,), top_epoch=4, top_wid=3,
+                  register_id="k2"),
             ReadRequest(round_index=1, tsr=7, reader_index=0, register_id="k"),
             EpochFence(nonce=21, epoch=0, register_id="k2", lift=True),
             LeaseProbeAck(nonce=22, object_index=0, epoch=1, fenced=True,
@@ -301,12 +308,13 @@ GOLDEN = [
             AuthQueryAck(nonce=23, signed=None, register_id="k"),
             AbdStore(tsval=TimestampValue(5, None), nonce=24, register_id="k"),
         )),
-     "b10d0700000003040000000000000000000000000000000100ffffffffffffff"
-     "ffff010000006b03040000000000000000000000010000000100090000000000"
-     "0000ff020000006b320a01070000000000000000000000000000000000000000"
-     "00000000071500000000000000000000000000000002010f1600000000000000"
-     "0000000001000000000000000000000002004717000000000000000000400018"
-     "000000000000000005000000000000000000000000"),
+     "b10d070000000304000000000000000000000000000000000000000000000000"
+     "0000000100ffffffffffffffffff010000006b03040000000000000000000000"
+     "0100000004000000000000000300000001000900000000000000ff020000006b"
+     "320a010700000000000000000000000000000000000000000000000007150000"
+     "0000000000000000000000000002010f16000000000000000000000001000000"
+     "0000000000000000020047170000000000000000004000180000000000000000"
+     "05000000000000000000000000"),
     (LeaseProbe(nonce=14, epoch=4, reader_index=1, wid=2, register_id="k"),
      "b10e0e0000000000000004000000000000000200000001000000ff010000006b"),
     (LeaseProbeAck(nonce=14, object_index=2, epoch=4, wid=2, holds=True,
